@@ -88,7 +88,7 @@ BarnesRun BarnesApp::run(std::uint32_t nodes, const sim::NetParams& net,
       b.work = 0;
     }
 
-    ForceParams params;
+    ForceParams params(cluster);
     params.theta2 = cfg_.theta * cfg_.theta;
     params.eps2 = cfg_.eps * cfg_.eps;
     params.use_quadrupole = cfg_.use_quadrupole;
@@ -98,31 +98,21 @@ BarnesRun BarnesApp::run(std::uint32_t nodes, const sim::NetParams& net,
     params.cost_body_start = cfg_.cost_body_start;
 
     // --- the timed phase ---
-    // Phase-visible host memory for the multi-process backend: force tasks
-    // write owned bodies' acc/work fields (byte-merged — owners are
-    // disjoint) and bump the shared walk counters (delta-summed).
+    // Force tasks write their owned bodies' acc/work fields: phase-visible
+    // host memory for the multi-process backend.
     exec::ScopedPhaseSpan span_bodies(
         cluster.exec(),
-        exec::PhaseSpan{bodies.data(), bodies.size() * sizeof(Body),
-                        exec::SpanMerge::kBytes});
-    exec::ScopedPhaseSpan span_inter(
-        cluster.exec(), exec::PhaseSpan{&params.interactions,
-                                        sizeof(params.interactions),
-                                        exec::SpanMerge::kSumU64});
-    exec::ScopedPhaseSpan span_opens(
-        cluster.exec(),
-        exec::PhaseSpan{&params.opens, sizeof(params.opens),
-                        exec::SpanMerge::kSumU64});
+        exec::PhaseSpan{bodies.data(), bodies.size() * sizeof(Body)});
     BarnesStep st;
     st.phase =
         runner.run(make_force_work(bodies, owned, root, &params), "bh.force");
     DPA_CHECK(st.phase.completed)
         << "Barnes-Hut force phase deadlocked:\n"
         << st.phase.diagnostics;
-    st.interactions = params.interactions.load(std::memory_order_relaxed);
-    st.opens = params.opens.load(std::memory_order_relaxed);
-    st.model_seq_seconds =
-        model_seq_seconds(WalkCounts{st.interactions, st.opens});
+    const WalkCounts counts = params.counts.reduce();
+    st.interactions = counts.interactions;
+    st.opens = counts.opens;
+    st.model_seq_seconds = model_seq_seconds(counts);
     result.steps.push_back(std::move(st));
 
     integrate(bodies, cfg_.dt);
@@ -142,11 +132,9 @@ std::vector<BarnesApp::SeqStep> BarnesApp::run_sequential() const {
     SeqStep st;
     st.acc.resize(bodies.size());
     for (std::size_t i = 0; i < bodies.size(); ++i) {
-      const WalkCounts c =
-          walk_sequential(tree, bodies, bodies[i], cfg_.theta, cfg_.eps,
-                          &st.acc[i], cfg_.use_quadrupole);
-      st.counts.interactions += c.interactions;
-      st.counts.opens += c.opens;
+      st.counts = st.counts + walk_sequential(tree, bodies, bodies[i],
+                                              cfg_.theta, cfg_.eps,
+                                              &st.acc[i], cfg_.use_quadrupole);
     }
     st.seconds = model_seq_seconds(st.counts);
 

@@ -1,7 +1,5 @@
 #include "apps/barnes/force.h"
 
-#include "apps/barnes/tree.h"
-
 #include <cmath>
 
 #include "support/assert.h"
@@ -24,8 +22,7 @@ void walk_parallel(rt::Ctx& ctx, gas::GPtr<Cell> cell, Body* body,
       if (n > 0) {
         ctx2.charge(n * params->cost_interaction);
         body->work += double(n);
-        params->interactions.fetch_add(std::uint64_t(n),
-                                       std::memory_order_relaxed);
+        params->counts.slot(ctx2).interactions += std::uint64_t(n);
       }
       return;
     }
@@ -45,12 +42,12 @@ void walk_parallel(rt::Ctx& ctx, gas::GPtr<Cell> cell, Body* body,
         ctx2.charge(params->cost_interaction);
       }
       body->work += 1.0;
-      params->interactions.fetch_add(1, std::memory_order_relaxed);
+      ++params->counts.slot(ctx2).interactions;
     } else {
       // Open the cell: one new thread per child, each labeled with the
       // child pointer.
       ctx2.charge(params->cost_open);
-      params->opens.fetch_add(1, std::memory_order_relaxed);
+      ++params->counts.slot(ctx2).opens;
       for (const auto& ch : c.child) {
         if (ch) walk_parallel(ctx2, ch, body, params);
       }

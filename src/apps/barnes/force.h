@@ -5,20 +5,21 @@
 // where DPA's map M tiles, pipelines and aggregates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "apps/barnes/tree.h"
 #include "apps/barnes/types.h"
 #include "runtime/engine.h"
 
 namespace dpa::apps::barnes {
 
-// Shared, phase-lifetime parameters for the walk threads. The counters are
-// host-side accounting shared by every node's threads — atomic (relaxed)
-// because on the native backend those threads are real concurrent workers.
+// Shared, phase-lifetime parameters for the walk threads, plus their walk
+// counters (one WalkCounts per node).
 struct ForceParams {
+  explicit ForceParams(rt::Cluster& cluster) : counts(cluster) {}
+
   double theta2 = 1.0;
   double eps2 = 0.0025;
   bool use_quadrupole = false;
@@ -26,8 +27,7 @@ struct ForceParams {
   sim::Time cost_interaction_quad = 7600;
   sim::Time cost_open = 350;
   sim::Time cost_body_start = 900;
-  std::atomic<std::uint64_t> interactions{0};
-  std::atomic<std::uint64_t> opens{0};
+  rt::NodeLocal<WalkCounts> counts;
 };
 
 // Creates the walk thread for `body` on `cell`.

@@ -73,6 +73,10 @@ gas::GPtr<Cell> materialize(const BhTree& tree, std::span<const Body> bodies,
 struct WalkCounts {
   std::uint64_t interactions = 0;  // body-body plus body-COM terms
   std::uint64_t opens = 0;         // cells descended into
+
+  friend WalkCounts operator+(WalkCounts a, const WalkCounts& b) {
+    return {a.interactions + b.interactions, a.opens + b.opens};
+  }
 };
 WalkCounts walk_sequential(const BhTree& tree, std::span<const Body> bodies,
                            const Body& body, double theta, double eps,

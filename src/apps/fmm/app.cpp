@@ -70,7 +70,7 @@ FmmRun FmmApp::run(std::uint32_t nodes, const sim::NetParams& net,
 
     for (Particle& p : particles) p.force = Cmplx{};
 
-    PhaseContext pc;
+    PhaseContext pc(cluster);
     pc.tree = &tree;
     pc.particles = &particles;
     pc.cfg = cfg_;
@@ -80,30 +80,14 @@ FmmRun FmmApp::run(std::uint32_t nodes, const sim::NetParams& net,
     // --- the timed interaction phase ---
     // Phase-visible host memory for the multi-process backend: M2L writes
     // the target cells' local expansions and P2P writes the target
-    // particles' forces (both target-partitioned, so byte-merged), and the
-    // shared work counters are delta-summed.
-    std::vector<std::unique_ptr<exec::ScopedPhaseSpan>> spans;
-    spans.push_back(std::make_unique<exec::ScopedPhaseSpan>(
-        cluster.exec(),
-        exec::PhaseSpan{particles.data(),
-                        particles.size() * sizeof(Particle),
-                        exec::SpanMerge::kBytes}));
-    for (std::size_t c = 0; c < tree.num_cells(); ++c) {
-      const std::span<Cmplx> local = tree.local(std::int32_t(c));
-      if (local.empty()) continue;
-      spans.push_back(std::make_unique<exec::ScopedPhaseSpan>(
-          cluster.exec(),
-          exec::PhaseSpan{local.data(), local.size() * sizeof(Cmplx),
-                          exec::SpanMerge::kBytes}));
-    }
-    spans.push_back(std::make_unique<exec::ScopedPhaseSpan>(
-        cluster.exec(),
-        exec::PhaseSpan{&pc.m2l_done, sizeof(pc.m2l_done),
-                        exec::SpanMerge::kSumU64}));
-    spans.push_back(std::make_unique<exec::ScopedPhaseSpan>(
-        cluster.exec(),
-        exec::PhaseSpan{&pc.p2p_pairs_done, sizeof(pc.p2p_pairs_done),
-                        exec::SpanMerge::kSumU64}));
+    // particles' forces (both target-partitioned, so each byte has one
+    // writer).
+    exec::ScopedPhaseSpan span_particles(
+        cluster.exec(), exec::PhaseSpan{particles.data(),
+                                        particles.size() * sizeof(Particle)});
+    const std::span<Cmplx> locals = tree.locals();
+    exec::ScopedPhaseSpan span_locals(
+        cluster.exec(), exec::PhaseSpan{locals.data(), locals.size_bytes()});
 
     FmmStep st;
     st.phase = runner.run(make_interaction_work(&pc, part), "fmm.interact");
@@ -113,8 +97,9 @@ FmmRun FmmApp::run(std::uint32_t nodes, const sim::NetParams& net,
     // --- untimed completion ---
     tree.downward_and_evaluate(particles, cfg_.terms);
 
-    st.m2l = pc.m2l_done.load(std::memory_order_relaxed);
-    st.p2p_pairs = pc.p2p_pairs_done.load(std::memory_order_relaxed);
+    const InteractCounts done = pc.done.reduce();
+    st.m2l = done.m2l;
+    st.p2p_pairs = done.p2p_pairs;
     st.list_entries = tree.total_entries();
     st.model_seq_seconds = model_seq_seconds(tree);
     result.steps.push_back(std::move(st));

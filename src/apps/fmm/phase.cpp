@@ -31,7 +31,7 @@ void apply_entry(rt::Ctx& ctx, PhaseContext* pc, std::int32_t target,
           m2l(std::span<const Cmplx>(cell.mpole.data(), p + 1), cell.center,
               tcell.center, p, pc->tree->local(target));
           ctx2.charge(pc->cfg.m2l_cost());
-          pc->m2l_done.fetch_add(1, std::memory_order_relaxed);
+          ++pc->done.slot(ctx2).m2l;
         } else {
           std::uint64_t pairs = 0;
           for (const auto ti : tcell.parts) {
@@ -46,7 +46,7 @@ void apply_entry(rt::Ctx& ctx, PhaseContext* pc, std::int32_t target,
             tp.force += std::conj(field);
           }
           ctx2.charge(sim::Time(pairs) * pc->cfg.cost_p2p_pair);
-          pc->p2p_pairs_done.fetch_add(pairs, std::memory_order_relaxed);
+          pc->done.slot(ctx2).p2p_pairs += pairs;
         }
       });
 }

@@ -5,7 +5,6 @@
 // accumulated owner-side.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -14,8 +13,20 @@
 
 namespace dpa::apps::fmm {
 
+// Work done by one node's interaction threads.
+struct InteractCounts {
+  std::uint64_t m2l = 0;
+  std::uint64_t p2p_pairs = 0;
+
+  friend InteractCounts operator+(InteractCounts a, const InteractCounts& b) {
+    return {a.m2l + b.m2l, a.p2p_pairs + b.p2p_pairs};
+  }
+};
+
 // Phase-lifetime shared state for the interaction threads.
 struct PhaseContext {
+  explicit PhaseContext(rt::Cluster& cluster) : done(cluster) {}
+
   FmmTree* tree = nullptr;
   std::vector<Particle>* particles = nullptr;
   std::vector<gas::GPtr<FCell>> cells;  // global cell per host index
@@ -25,10 +36,7 @@ struct PhaseContext {
   // (leaves) inlined particles.
   std::uint32_t cell_bytes(std::int32_t src) const;
 
-  // Host-side accounting, shared by every node's threads — atomic (relaxed)
-  // because the native backend runs node threads concurrently.
-  std::atomic<std::uint64_t> m2l_done{0};
-  std::atomic<std::uint64_t> p2p_pairs_done{0};
+  rt::NodeLocal<InteractCounts> done;
 };
 
 std::vector<rt::NodeWork> make_interaction_work(

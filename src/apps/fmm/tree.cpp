@@ -194,7 +194,8 @@ void FmmTree::interact(std::int32_t a, std::int32_t b, double ws_ratio) {
 void FmmTree::upward(std::span<const Particle> particles, std::uint32_t p) {
   DPA_CHECK(p + 1 <= kMaxTerms + 1);
   mpole_.assign(cells_.size(), std::vector<Cmplx>(p + 1, Cmplx{}));
-  local_.assign(cells_.size(), std::vector<Cmplx>(p + 1, Cmplx{}));
+  terms_ = p + 1;
+  local_.assign(cells_.size() * terms_, Cmplx{});
 
   // Children have larger indices (preorder creation): reverse sweep.
   std::vector<Particle> scratch;
@@ -220,16 +221,16 @@ void FmmTree::downward_and_evaluate(std::span<Particle> particles,
   // Parents precede children (preorder): forward sweep.
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const FBuildCell& cell = cells_[i];
+    const std::span<const Cmplx> here = local(std::int32_t(i));
     if (cell.leaf) {
       for (const auto pi : cell.parts) {
         Particle& part = particles[std::size_t(pi)];
-        part.force += std::conj(l2p_field(local_[i], cell.center, p, part.z));
+        part.force += std::conj(l2p_field(here, cell.center, p, part.z));
       }
     } else {
       for (const auto c : cell.child) {
         if (c < 0) continue;
-        l2l(local_[i], cell.center, cells_[std::size_t(c)].center, p,
-            local_[std::size_t(c)]);
+        l2l(here, cell.center, cells_[std::size_t(c)].center, p, local(c));
       }
     }
   }
@@ -243,7 +244,7 @@ void FmmTree::interact_sequential(std::span<Particle> particles,
       const FBuildCell& src = cells_[std::size_t(e.src)];
       if (e.kind == Kind::kM2L) {
         m2l(mpole_[std::size_t(e.src)], src.center, target.center, p,
-            local_[t]);
+            local(std::int32_t(t)));
       } else {
         for (const auto ti : target.parts) {
           Particle& tp = particles[std::size_t(ti)];

@@ -74,7 +74,11 @@ class FmmTree {
   std::span<const Cmplx> mpole(std::int32_t i) const {
     return mpole_[std::size_t(i)];
   }
-  std::span<Cmplx> local(std::int32_t i) { return local_[std::size_t(i)]; }
+  // Local expansion of cell i: p+1 terms, one stride of locals().
+  std::span<Cmplx> local(std::int32_t i) {
+    return locals().subspan(std::size_t(i) * terms_, terms_);
+  }
+  std::span<Cmplx> locals() { return local_; }
 
   std::uint64_t total_m2l() const { return total_m2l_; }
   std::uint64_t total_p2p_pairs() const { return total_p2p_pairs_; }
@@ -107,7 +111,8 @@ class FmmTree {
   std::vector<std::int32_t> order_;  // particle indices in Morton order
   std::vector<std::vector<ListEntry>> lists_;
   std::vector<std::vector<Cmplx>> mpole_;
-  std::vector<std::vector<Cmplx>> local_;
+  std::vector<Cmplx> local_;  // every cell's local expansion, stride terms_
+  std::size_t terms_ = 0;     // p+1
   std::uint64_t total_m2l_ = 0;
   std::uint64_t total_p2p_pairs_ = 0;
 };

@@ -100,14 +100,14 @@ struct HostTree {
 
 // Probes the color at pixel (px, py): a root-descend require-chain.
 void probe(rt::Ctx& ctx, gas::GPtr<QNode> node, std::uint32_t px,
-           std::uint32_t py, std::uint64_t* perimeter,
+           std::uint32_t py, rt::NodeLocal<std::uint64_t>* perimeter,
            const PerimeterConfig* cfg) {
   ctx.require(node, [px, py, perimeter, cfg](rt::Ctx& ctx2, const QNode& q) {
     ctx2.charge(cfg->cost_probe_step);
     if (q.color != 2) {
       if (q.color == 0) {
         ctx2.charge(cfg->cost_edge);
-        ++*perimeter;
+        ++perimeter->slot(ctx2);
       }
       return;
     }
@@ -172,17 +172,15 @@ PerimeterResult PerimeterApp::run(const sim::NetParams& net,
     owned[owner_of_leaf(h.first_leaf)].push_back(Leaf{h.x0, h.y0, h.size});
   }
 
-  // One edge counter per node: a node's threads run serially on that node,
-  // so no synchronization; summed in node order afterwards (exact — integer).
-  std::vector<std::uint64_t> partials(nodes_, 0);
+  // One edge counter per node, summed afterwards (exact — integer).
+  rt::NodeLocal<std::uint64_t> edges(cluster);
   const PerimeterConfig* cfg = &cfg_;
   const std::uint32_t n_pix = bm.n;
   std::vector<rt::NodeWork> work(nodes_);
   for (std::uint32_t n = 0; n < nodes_; ++n) {
     const auto& mine = owned[n];
-    std::uint64_t* pperim = &partials[n];
     work[n].count = mine.size();
-    work[n].item = [&mine, pperim, cfg, root, n_pix](rt::Ctx& ctx,
+    work[n].item = [&mine, &edges, cfg, root, n_pix](rt::Ctx& ctx,
                                                      std::uint64_t i) {
       const Leaf& leaf = mine[std::size_t(i)];
       // Each border pixel edge: either the bitmap boundary (host check) or
@@ -191,10 +189,10 @@ PerimeterResult PerimeterApp::run(const sim::NetParams& net,
         if (px < 0 || py < 0 || px >= std::int64_t(n_pix) ||
             py >= std::int64_t(n_pix)) {
           ctx.charge(cfg->cost_edge);
-          ++*pperim;
+          ++edges.slot(ctx);
           return;
         }
-        probe(ctx, root, std::uint32_t(px), std::uint32_t(py), pperim, cfg);
+        probe(ctx, root, std::uint32_t(px), std::uint32_t(py), &edges, cfg);
       };
       for (std::uint32_t k = 0; k < leaf.size; ++k) {
         edge(std::int64_t(leaf.x0) - 1, leaf.y0 + k);            // west
@@ -208,7 +206,7 @@ PerimeterResult PerimeterApp::run(const sim::NetParams& net,
   rt::PhaseRunner runner(cluster, rcfg);
   PerimeterResult result;
   result.phase = runner.run(std::move(work));
-  for (const std::uint64_t p : partials) result.perimeter += p;
+  result.perimeter = edges.reduce();
   result.expected = oracle_perimeter(bm);
   result.black_leaves = black_leaves;
   result.tree_nodes = host.nodes.size();

@@ -49,11 +49,11 @@ struct Build {
 // The compiled-form walk: one non-blocking thread per tree node. `limit`
 // stops node 0's top walk at the subtree boundary (those roots belong to
 // their owners' conc loops).
-void walk(rt::Ctx& ctx, gas::GPtr<TNode> node, double* sum, sim::Time cost,
-          std::uint32_t depth_left) {
+void walk(rt::Ctx& ctx, gas::GPtr<TNode> node, rt::NodeLocal<double>* sum,
+          sim::Time cost, std::uint32_t depth_left) {
   ctx.require(node, [sum, cost, depth_left](rt::Ctx& ctx2, const TNode& t) {
     ctx2.charge(cost);
-    *sum += t.value;
+    sum->slot(ctx2) += t.value;
     if (depth_left == 0) return;
     if (t.left) walk(ctx2, t.left, sum, cost, depth_left - 1);
     if (t.right) walk(ctx2, t.right, sum, cost, depth_left - 1);
@@ -86,42 +86,38 @@ TreeAddResult TreeAddApp::run(const sim::NetParams& net,
   build.subtree_roots.resize(nodes_);
   const gas::GPtr<TNode> root = build.build(cfg_.depth, 0, 0);
 
-  // One partial sum per node: a node's threads run serially on that node
-  // (one worker per node on the native backend), so the partials need no
-  // synchronization, and the node-order reduction below is the same on both
-  // backends.
-  std::vector<double> partials(nodes_, 0.0);
+  // One partial sum per node, reduced in node order: the same additions in
+  // the same order on every backend.
+  rt::NodeLocal<double> sums(cluster);
   std::vector<rt::NodeWork> work(nodes_);
   const sim::Time cost = cfg_.cost_visit;
   for (std::uint32_t n = 0; n < nodes_; ++n) {
     const auto& roots = build.subtree_roots[n];
-    double* psum = &partials[n];
     work[n].count = roots.size();
-    work[n].item = [&roots, psum, cost, this](rt::Ctx& ctx, std::uint64_t i) {
-      walk(ctx, roots[std::size_t(i)], psum, cost,
+    work[n].item = [&roots, &sums, cost, this](rt::Ctx& ctx, std::uint64_t i) {
+      walk(ctx, roots[std::size_t(i)], &sums, cost,
            cfg_.depth - 1);  // full remaining depth
     };
   }
   // Node 0 additionally walks the shared top region (above the split).
   if (split > 0) {
     const auto& roots0 = build.subtree_roots[0];
-    double* psum0 = &partials[0];
     const std::uint32_t depth = cfg_.depth;
     work[0].count = roots0.size() + 1;
-    work[0].item = [&roots0, root, psum0, cost, split, depth](
+    work[0].item = [&roots0, root, &sums, cost, split, depth](
                        rt::Ctx& ctx, std::uint64_t i) {
       if (i < roots0.size()) {
-        walk(ctx, roots0[std::size_t(i)], psum0, cost, depth - 1);
+        walk(ctx, roots0[std::size_t(i)], &sums, cost, depth - 1);
         return;
       }
-      walk(ctx, root, psum0, cost, split - 1);
+      walk(ctx, root, &sums, cost, split - 1);
     };
   }
 
   rt::PhaseRunner runner(cluster, rcfg);
   TreeAddResult result;
   result.phase = runner.run(std::move(work));
-  for (const double p : partials) result.sum += p;
+  result.sum = sums.reduce();
   result.expected = build.expected;
   return result;
 }

@@ -74,23 +74,17 @@ struct WatchdogConfig {
   bool enabled() const { return phase_deadline > 0 || stuck_scans > 0; }
 };
 
-// How the multi-process backend merges a registered memory span back into
-// the coordinator at the phase barrier.
-enum class SpanMerge : std::uint8_t {
-  kBytes,   // owner's bytes win: ship changed runs, copy them over
-  kSumU64,  // commutative counters: ship per-lane u64 deltas, add them
-};
-
 // A host-memory region that phase tasks may write and the phase result
 // depends on. Single-process backends share the address space and ignore
 // these; the multi-process backend diffs each worker's spans against its
-// fork-time snapshot and applies the changes in the coordinator. Spans
-// must cover every phase-visible write (global-heap objects are registered
-// automatically; apps register their host arrays and counters).
+// fork-time snapshot and copies the changed bytes over in the coordinator,
+// so every byte must have a single writer (the owner of its node). Spans
+// must cover every phase-visible write: global-heap objects are registered
+// automatically, rt::NodeLocal registers its slots, and apps register the
+// owner-written host arrays they keep outside both.
 struct PhaseSpan {
   const void* addr = nullptr;
   std::uint64_t bytes = 0;
-  SpanMerge merge = SpanMerge::kBytes;
 };
 
 // How a handler payload crosses a process boundary: marshal flattens the
@@ -234,7 +228,7 @@ class Backend {
   }
 
   // Registers / unregisters a transient span (an app's per-step host array
-  // or counter) for the next run_phase. remove is keyed by addr.
+  // or a NodeLocal's slots) for the next run_phase. remove is keyed by addr.
   virtual void add_phase_span(PhaseSpan span) { (void)span; }
   virtual void remove_phase_span(const void* addr) { (void)addr; }
 

@@ -40,10 +40,6 @@ constexpr std::uint16_t kTagPeerDead = 9;  // worker -> coordinator: info
 constexpr NodeId kCtlCoord = 0;
 constexpr NodeId kCtlWorker = 1;
 
-// Span-diff record kinds.
-constexpr std::uint8_t kRunBytes = 0;  // overwrite: raw byte run
-constexpr std::uint8_t kRunSum = 1;    // add: u64 delta lanes
-
 // Flush accumulated span-diff records to the wire at this payload size.
 constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 
@@ -507,7 +503,6 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
     case kTagSpan: {
       Rd r(bytes);
       while (r.remaining() > 0) {
-        const std::uint8_t kind = r.u8();
         const std::uint32_t idx = r.u32();
         const std::uint64_t off = r.u64();
         const std::uint32_t len = r.u32();
@@ -515,18 +510,7 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
             << "span diff out of range";
         char* base =
             const_cast<char*>(static_cast<const char*>(spans_[idx].addr));
-        if (kind == kRunBytes) {
-          r.raw(base + off, len);
-        } else {
-          DPA_CHECK(kind == kRunSum && len % 8 == 0);
-          for (std::uint32_t i = 0; i < len; i += 8) {
-            const std::uint64_t delta = r.u64();
-            std::uint64_t cur_v = 0;
-            std::memcpy(&cur_v, base + off + i, 8);
-            cur_v += delta;
-            std::memcpy(base + off + i, &cur_v, 8);
-          }
-        }
+        r.raw(base + off, len);
       }
       break;
     }
@@ -998,36 +982,6 @@ void ProcBackend::worker_finalize(
     const auto* cur = static_cast<const std::uint8_t*>(spans_[i].addr);
     const std::uint8_t* old = pristine[i].data();
     const std::uint64_t n = spans_[i].bytes;
-    if (spans_[i].merge == SpanMerge::kSumU64) {
-      // Contiguous non-zero u64 deltas, shipped as one add-record each.
-      std::uint64_t lane = 0;
-      const std::uint64_t lanes = n / 8;
-      while (lane < lanes) {
-        std::uint64_t c = 0, o = 0;
-        std::memcpy(&c, cur + lane * 8, 8);
-        std::memcpy(&o, old + lane * 8, 8);
-        if (c == o) {
-          ++lane;
-          continue;
-        }
-        const std::uint64_t start = lane;
-        Wr deltas;
-        while (lane < lanes) {
-          std::memcpy(&c, cur + lane * 8, 8);
-          std::memcpy(&o, old + lane * 8, 8);
-          if (c == o) break;
-          deltas.u64(c - o);
-          ++lane;
-        }
-        diff.u8(kRunSum);
-        diff.u32(std::uint32_t(i));
-        diff.u64(start * 8);
-        diff.u32(std::uint32_t(deltas.b.size()));
-        diff.raw(deltas.b.data(), deltas.b.size());
-        flush_diff(false);
-      }
-      continue;
-    }
     std::uint64_t p = 0;
     while (p < n) {
       if (cur[p] == old[p]) {
@@ -1041,7 +995,6 @@ void ProcBackend::worker_finalize(
       while (len > 0) {
         const std::uint64_t take =
             std::min<std::uint64_t>(len, kSpanChunkBytes);
-        diff.u8(kRunBytes);
         diff.u32(std::uint32_t(i));
         diff.u64(start + (p - start - len));
         diff.u32(std::uint32_t(take));

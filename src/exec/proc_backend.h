@@ -36,8 +36,7 @@
 //     — the determinism-bearing step), diffs every registered span
 //     against its fork-time snapshot, and ships only the changed runs
 //     home. The coordinator applies them directly: owned writes are
-//     disjoint, so application order cannot matter, and kSumU64 spans
-//     travel as per-lane deltas that simply add.
+//     disjoint, so application order cannot matter.
 //
 // Byte-identity across sim / native / proc: replies carry phase-start
 // object state (the fork snapshot) exactly as the single-process phases

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exec/backend.h"
@@ -84,7 +85,7 @@ struct Cluster {
     // single-process backends.
     backend->set_span_source([h = &heap](std::vector<exec::PhaseSpan>& out) {
       for (const gas::GlobalHeap::Span& s : h->object_spans())
-        out.push_back(exec::PhaseSpan{s.addr, s.bytes, exec::SpanMerge::kBytes});
+        out.push_back(exec::PhaseSpan{s.addr, s.bytes});
     });
   }
 
@@ -373,6 +374,41 @@ class Ctx {
  private:
   EngineBase& engine_;
   sim::Cpu& cpu_;
+};
+
+// A phase result with one slot per node. A thread writes only the slot of
+// the node it runs on, `slot(ctx)`, and a node's tasks run serially, so a
+// slot needs no synchronization (each is padded to a cache line so
+// neighbours never contend). For its lifetime the slot array is a phase
+// span, so the multi-process backend ships every slot home from the one
+// worker that owns its node. reduce() folds the slots in node order, which
+// keeps floating-point results bit-identical on every backend.
+template <typename T>
+class NodeLocal {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "NodeLocal slots cross processes as raw bytes");
+
+ public:
+  explicit NodeLocal(Cluster& cluster)
+      : slots_(cluster.num_nodes()),
+        span_(cluster.exec(),
+              exec::PhaseSpan{slots_.data(), slots_.size() * sizeof(Slot)}) {}
+
+  T& slot(const Ctx& ctx) { return slots_[ctx.node()].value; }
+
+  // ((T{} + slot 0) + slot 1) + ... + slot N-1.
+  T reduce() const {
+    T acc{};
+    for (const Slot& s : slots_) acc = acc + s.value;
+    return acc;
+  }
+
+ private:
+  struct alignas(64) Slot {
+    T value{};
+  };
+  std::vector<Slot> slots_;
+  exec::ScopedPhaseSpan span_;
 };
 
 }  // namespace dpa::rt

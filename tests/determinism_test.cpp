@@ -255,7 +255,7 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
       }
       break;
     }
-    default: {
+    case 2: {
       apps::em3d::Em3dConfig cfg;
       cfg.e_per_node = 128;
       cfg.h_per_node = 128;
@@ -268,6 +268,43 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
       append_doubles(snap, run.h_values.data(), run.h_values.size());
       break;
     }
+    // The Olden kernels also check their oracles: a result the backend
+    // loses (say, a per-node partial a worker process never ships home)
+    // would otherwise be identical across engines and pass the grid.
+    case 3: {
+      apps::olden::TreeAddConfig cfg;
+      cfg.depth = 9;
+      const apps::olden::TreeAddApp app_(cfg, 4);
+      const auto r = app_.run(net(false), rcfg, backend);
+      EXPECT_TRUE(r.phase.completed);
+      EXPECT_NEAR(r.sum, r.expected, 1e-9 * r.expected);
+      append_doubles(snap, &r.sum, 1);
+      break;
+    }
+    case 4: {
+      apps::olden::PowerConfig cfg;
+      cfg.feeders = 4;
+      cfg.laterals = 4;
+      const apps::olden::PowerApp app_(cfg, 4);
+      const auto r = app_.run(net(false), rcfg, backend);
+      EXPECT_TRUE(r.all_completed());
+      const double oracle = app_.run_sequential().final_root_demand;
+      EXPECT_NEAR(r.final_root_demand, oracle, 1e-9 * oracle);
+      append_doubles(snap, r.branch_prices.data(), r.branch_prices.size());
+      append_doubles(snap, &r.final_root_demand, 1);
+      break;
+    }
+    default: {
+      apps::olden::PerimeterConfig cfg;
+      cfg.log_size = 5;
+      const apps::olden::PerimeterApp app_(cfg, 4);
+      const auto r = app_.run(net(false), rcfg, backend);
+      EXPECT_TRUE(r.phase.completed);
+      EXPECT_EQ(r.perimeter, r.expected);
+      const double per = double(r.perimeter);
+      append_doubles(snap, &per, 1);
+      break;
+    }
   }
   EXPECT_FALSE(snap.empty());
   return snap;
@@ -275,7 +312,7 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
 
 TEST(SimVsNative, PhysicsAreByteIdenticalForEveryEngineAndApp) {
   for (std::size_t engine = 0; engine < kEngines; ++engine) {
-    for (std::size_t app = 0; app < 3; ++app) {
+    for (std::size_t app = 0; app < kApps; ++app) {
       const std::string sim =
           physics_snapshot(engine, app, exec::BackendKind::kSim);
       const std::string native =
@@ -379,7 +416,7 @@ TEST(ProcEquivalence, PhysicsAreByteIdenticalAcrossAllThreeBackends) {
   cfg.procs = 2;
   const ScopedProcConfig guard(cfg);
   for (std::size_t engine = 0; engine < kEngines; ++engine) {
-    for (std::size_t app = 0; app < 3; ++app) {
+    for (std::size_t app = 0; app < kApps; ++app) {
       const std::string sim =
           physics_snapshot(engine, app, exec::BackendKind::kSim);
       const std::string native =

@@ -614,6 +614,44 @@ TEST(NativeEngines, PowerAccumulationsCommitDeterministically) {
     EXPECT_EQ(a.branch_prices[i], b.branch_prices[i]);
 }
 
+TEST(NativeEngines, NodeLocalTakesConcurrentWritesToAdjacentSlots) {
+  // Four pool workers run eight nodes whose threads bump adjacent
+  // rt::NodeLocal slots, both directly and from remote-reply continuations.
+  // A node only ever writes its own slot and run_phase() orders every
+  // write before reduce(), so this must be race-free under TSan and exact.
+  constexpr std::uint32_t kNodes = 8;
+  constexpr std::uint64_t kItems = 200;
+  exec::NativeBackend::Tuning tuning;
+  tuning.workers = 4;
+  exec::ScopedDefaultTuning guard(tuning);
+  rt::Cluster cluster(kNodes, exec::BackendKind::kNative);
+  rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
+
+  struct Val {
+    std::uint64_t v = 0;
+  };
+  std::vector<gas::GPtr<Val>> vals;
+  for (std::uint32_t n = 0; n < kNodes; ++n)
+    vals.push_back(cluster.heap.make<Val>(n, Val{n + 1}));
+
+  rt::NodeLocal<std::uint64_t> sums(cluster);
+  std::vector<rt::NodeWork> work(kNodes);
+  std::uint64_t expected = 0;
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    for (std::uint64_t i = 0; i < kItems; ++i)
+      expected += 1 + ((n + 1 + i) % kNodes + 1);  // bump + value read
+    work[n].count = kItems;
+    work[n].item = [&vals, &sums, n](rt::Ctx& ctx, std::uint64_t i) {
+      ++sums.slot(ctx);
+      ctx.require(vals[(n + 1 + i) % kNodes],
+                  [&sums](rt::Ctx& c, const Val& v) { sums.slot(c) += v.v; });
+    };
+  }
+  const rt::PhaseResult r = runner.run(std::move(work), "node_local");
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  EXPECT_EQ(sums.reduce(), expected);
+}
+
 TEST(NativeBackend, PhaseResultReportsRealElapsedAndTasks) {
   apps::em3d::Em3dConfig cfg;
   cfg.e_per_node = 64;

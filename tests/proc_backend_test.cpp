@@ -102,6 +102,44 @@ TEST(ProcBackend, CrossProcessRingPhaseComputesTheRightValues) {
   EXPECT_GT(r.sim_events, 0u);
 }
 
+TEST(ProcBackend, NodeLocalSlotsReachTheCoordinatorForEveryProcessCount) {
+  // rt::NodeLocal's slots are a registered span written by one worker
+  // each: whatever the partition, every node's slot must come home, so the
+  // coordinator's reduce() sees all of them.
+  constexpr std::uint32_t kNodes = 8;
+  for (const std::uint32_t procs : {1u, 2u, 4u, 8u}) {
+    exec::ProcBackend::Config cfg;
+    cfg.procs = procs;
+    const ScopedProcConfig guard(cfg);
+    rt::Cluster cluster(kNodes, exec::BackendKind::kProc);
+    rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
+
+    std::vector<gas::GPtr<RingVal>> ptrs;
+    for (std::uint32_t n = 0; n < kNodes; ++n)
+      ptrs.push_back(cluster.heap.make<RingVal>(n, RingVal{double(n + 1)}));
+
+    // Node n runs n+1 items; each bumps the slot once directly and once by
+    // its successor's value, read remotely.
+    rt::NodeLocal<std::uint64_t> bumps(cluster);
+    std::vector<rt::NodeWork> work(kNodes);
+    std::uint64_t expected = 0;
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      expected += (n + 1) * (1 + ((n + 1) % kNodes + 1));
+      work[n].count = n + 1;
+      work[n].item = [&ptrs, &bumps, n](rt::Ctx& ctx, std::uint64_t) {
+        ++bumps.slot(ctx);
+        ctx.require(ptrs[(n + 1) % kNodes],
+                    [&bumps](rt::Ctx& c, const RingVal& dep) {
+                      bumps.slot(c) += std::uint64_t(dep.v);
+                    });
+      };
+    }
+    const rt::PhaseResult r = runner.run(std::move(work), "node_local");
+    ASSERT_TRUE(r.completed) << "procs " << procs << "\n" << r.diagnostics;
+    EXPECT_EQ(bumps.reduce(), expected) << "procs " << procs;
+  }
+}
+
 TEST(ProcBackend, WorkerDeathFailsThePhaseInsteadOfHanging) {
   const std::string dump = ::testing::TempDir() + "proc_crash_drill.json";
   std::remove(dump.c_str());
