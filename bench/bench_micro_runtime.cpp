@@ -5,9 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/barnes/plummer.h"
 #include "apps/barnes/tree.h"
@@ -161,13 +165,13 @@ BENCHMARK(BM_Closure_StdFunction);
 
 // --- Payload allocation head-to-head: the per-message wire cost ---
 //
-// Every simulated message used to malloc its payload through make_shared
-// and free it when the last fragment retired. The sim backend now pools
-// payloads through the phase arena instead (allocate_shared on an
-// ArenaAllocator; retired blocks go back to a per-size free list), so a
-// steady-state phase allocates no heap memory per message. The make_shared
-// twin is the before — and what the native backend still pays, where a
-// cross-thread arena would need locks.
+// Every message used to malloc its payload through make_shared and free it
+// when the last reference dropped. Engines now allocate payloads from their
+// node's ReturnPool (allocate_shared on a pool allocator; dropped blocks go
+// back to per-size free lists), so a steady-state phase allocates no heap
+// memory per message. The make_shared twins are the before. The
+// cross-thread pair is the native backend's shape: the sender allocates,
+// the receiver's worker drops the last reference.
 
 struct WirePayload {  // the size class of a pooled request/accum payload
   std::uint64_t seq = 0;
@@ -176,30 +180,97 @@ struct WirePayload {  // the size class of a pooled request/accum payload
 
 constexpr int kPayloadBatch = 512;
 
-void BM_PayloadAlloc_ArenaPool(benchmark::State& state) {
+std::shared_ptr<WirePayload> pooled_payload(ReturnPool& pool) {
+  return std::allocate_shared<WirePayload>(
+      ArenaAllocator<WirePayload, ReturnPool>(&pool));
+}
+
+void BM_PayloadAlloc_ReturnPool(benchmark::State& state) {
   Arena arena;
+  ReturnPool pool(arena);
   std::vector<std::shared_ptr<WirePayload>> live(kPayloadBatch);
   for (auto _ : state) {
     // In-flight window fills and drains, as during a phase...
-    for (auto& p : live)
-      p = std::allocate_shared<WirePayload>(ArenaAllocator<WirePayload>(&arena));
-    for (auto& p : live) p.reset();  // recycled into the free list
+    for (auto& p : live) p = pooled_payload(pool);
+    benchmark::DoNotOptimize(live.data());
+    for (auto& p : live) p.reset();  // recycled into the free lists
   }
   // (...and the arena resets wholesale at the phase boundary.)
+  pool.reset();
   arena.reset();
   state.SetItemsProcessed(state.iterations() * kPayloadBatch);
 }
-BENCHMARK(BM_PayloadAlloc_ArenaPool);
+BENCHMARK(BM_PayloadAlloc_ReturnPool);
 
 void BM_PayloadAlloc_MakeShared(benchmark::State& state) {
   std::vector<std::shared_ptr<WirePayload>> live(kPayloadBatch);
   for (auto _ : state) {
     for (auto& p : live) p = std::make_shared<WirePayload>();
+    benchmark::DoNotOptimize(live.data());
     for (auto& p : live) p.reset();
   }
   state.SetItemsProcessed(state.iterations() * kPayloadBatch);
 }
 BENCHMARK(BM_PayloadAlloc_MakeShared);
+
+// The benchmark thread allocates batches of payloads and hands each batch
+// to a releaser thread, which drops them while the next batch is being
+// allocated.
+template <class Make>
+void payload_cross_thread(benchmark::State& state, Make make) {
+  using Batch = std::vector<std::shared_ptr<WirePayload>>;
+  std::mutex mu;
+  std::condition_variable cv;
+  Batch handoff;
+  bool full = false;
+  bool stop = false;
+  std::thread releaser([&] {
+    Batch mine;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return full || stop; });
+        if (!full) return;
+        mine.swap(handoff);
+        full = false;
+      }
+      cv.notify_all();
+      mine.clear();  // the last references drop on this thread
+    }
+  });
+  Batch batch;
+  for (auto _ : state) {
+    for (int i = 0; i < kPayloadBatch; ++i) batch.push_back(make());
+    benchmark::DoNotOptimize(batch.data());
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return !full; });
+      handoff.swap(batch);  // batch gets the releaser's emptied buffer back
+      full = true;
+    }
+    cv.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    stop = true;
+  }
+  cv.notify_all();
+  releaser.join();
+  handoff.clear();  // a batch the releaser never took
+  state.SetItemsProcessed(state.iterations() * kPayloadBatch);
+}
+
+void BM_PayloadAlloc_CrossThread_ReturnPool(benchmark::State& state) {
+  Arena arena;
+  ReturnPool pool(arena);
+  payload_cross_thread(state, [&pool] { return pooled_payload(pool); });
+}
+BENCHMARK(BM_PayloadAlloc_CrossThread_ReturnPool)->UseRealTime();
+
+void BM_PayloadAlloc_CrossThread_MakeShared(benchmark::State& state) {
+  payload_cross_thread(state, [] { return std::make_shared<WirePayload>(); });
+}
+BENCHMARK(BM_PayloadAlloc_CrossThread_MakeShared)->UseRealTime();
 
 // Local thread creation + dispatch only.
 void BM_DpaLocalThreads(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -284,7 +285,8 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst,
       w1 = since_phase_start(std::chrono::steady_clock::now());
       inbox_depth = dn.inbox.size() + batch.size();
     }
-    for (auto& t : batch) dn.inbox.push_back(std::move(t));
+    dn.inbox.insert(dn.inbox.end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.end()));
   }
   // After the mailbox append: the destination's host (whoever wins the
   // activation) is guaranteed to see the batch.
@@ -728,7 +730,7 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
   n.last_worker.store(std::int32_t(w), std::memory_order_relaxed);
   tls_node = std::int32_t(id);
   obs::TraceShard* const sh = worker_shard(w);
-  std::deque<Task> batch;
+  std::vector<Task>& batch = workers_[w]->drain;
   for (;;) {
     if (stall_node_.load(std::memory_order_acquire) == std::int32_t(id)) {
       // Test-only wedge: block (holding no backend locks) until released.
@@ -748,15 +750,17 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
                   batch.size());
     // Incoming messages first, then self-posted scheduler work — the same
     // "yield to the inbox" policy the simulator's node processor has.
-    while (!batch.empty()) {
-      Task t = std::move(batch.front());
-      batch.pop_front();
+    for (Task& t : batch) {
       run_task(n, id, std::move(t));
       ran = true;
     }
-    while (!n.local.empty()) {
-      Task t = std::move(n.local.front());
-      n.local.pop_front();
+    batch.clear();
+    while (n.local_head < n.local.size()) {
+      Task t = std::move(n.local[n.local_head++]);
+      if (n.local_head == n.local.size()) {
+        n.local.clear();
+        n.local_head = 0;
+      }
       run_task(n, id, std::move(t));
       ran = true;
     }

@@ -17,9 +17,13 @@
 //     per-node ordering guarantee intact: a node's mailbox is still drained
 //     FIFO by exactly one thread at a time, so the deterministic
 //     (src, seq)-sorted accumulation commit is schedule-independent.
-//   * Each node keeps an MPSC mailbox (mutex + deque) for cross-node posts
-//     and an unlocked local queue for self-posts (a node's scheduler
-//     kicking itself never takes a lock).
+//   * Each node keeps an MPSC mailbox for cross-node posts — a vector that
+//     producers append to under the node's mutex and that the host drains
+//     by swapping it with its worker's (empty) drain buffer, so the two
+//     buffers trade places and keep their capacity — and an unlocked local
+//     queue (a vector plus a head index) for self-posts: a node's scheduler
+//     kicking itself never takes a lock, and in steady state neither path
+//     allocates.
 //   * send() appends a delivery task to the sending node's per-destination
 //     *train* — an owner-only outbound buffer, owned since the transport
 //     split by transport::InProcChannel (the backend supplies the delivery
@@ -242,10 +246,13 @@ class NativeBackend final : public Backend,
     // from the main thread). MPSC: producers under the mutex, drained in
     // batches by the hosting worker.
     std::mutex mu;
-    std::deque<Task> inbox;
-    // Self-posts from the hosting worker; never locked (only the host
-    // touches it, and the activation handoff orders host switches).
-    std::deque<Task> local;
+    std::vector<Task> inbox;
+    // Self-posts from the hosting worker, run FIFO from local_head; never
+    // locked (only the host touches it, and the activation handoff orders
+    // host switches). Emptied whenever the head catches up, so a chain of
+    // self-kicks reuses the first slots instead of growing the vector.
+    std::vector<Task> local;
+    std::size_t local_head = 0;
     // Outbound trains live in trains_ (transport::InProcChannel), indexed
     // by this node's id; written only by this node's host (main-thread
     // posts bypass trains).
@@ -284,6 +291,8 @@ class NativeBackend final : public Backend,
     // without a happens-before edge to the owner.
     std::atomic<bool> parked{false};
     std::uint64_t rng = 1;  // owner-only xorshift state (victim order)
+    // Owner-only: swapped with a node's inbox to drain it outside the lock.
+    std::vector<Task> drain;
     // Relaxed counters: read mid-phase by the watchdog, summed post-phase
     // by sched_stats().
     std::atomic<std::uint64_t> parks{0};

@@ -14,13 +14,16 @@ constexpr std::size_t kLocalBatch = 8;
 }  // namespace
 
 DpaEngine::DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-                     Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-                     fm::HandlerId h_accum, fm::HandlerId h_ack)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                     Arena& arena, ReturnPool& pool, fm::HandlerId h_req,
+                     fm::HandlerId h_reply, fm::HandlerId h_accum,
+                     fm::HandlerId h_ack)
+    : EngineBase(cluster, node, cfg, pool, h_req, h_reply, h_accum, h_ack),
       ready_tiles_(ArenaAllocator<const void*>(&arena)),
       local_ready_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       order_(ArenaAllocator<OrderUnit>(&arena)),
-      agg_(cluster.num_nodes()),
+      agg_(cluster.num_nodes(),
+           RefBuffer(ArenaAllocator<GlobalRef, ReturnPool>(&pool)),
+           ArenaAllocator<RefBuffer>(&arena)),
       acc_(cluster.num_nodes()) {
   // Histograms are single-writer; engines on the native backend run on
   // concurrent worker threads, so they record only on the simulator.
@@ -96,7 +99,7 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
       tile.requested_at = cpu.logical_now();
       ++outstanding_;
       cpu.charge(cost.req_marshal_per_ref, sim::Work::kComm);
-      send_request(cpu, ref.home, {ref});
+      send_request(cpu, ref.home, {&ref, 1});
     }
   } else {
     ++stats_.dup_refs_avoided;
@@ -234,20 +237,23 @@ bool DpaEngine::create_next_root(sim::Cpu& cpu) {
 void DpaEngine::flush_dest(sim::Cpu& cpu, NodeId dest) {
   auto& buf = agg_[dest];
   if (buf.empty()) return;
-  std::vector<GlobalRef> refs = std::move(buf);
-  buf.clear();
-  DPA_DCHECK(agg_total_ >= refs.size());
-  agg_total_ -= std::uint32_t(refs.size());
-  for (const GlobalRef& ref : refs) {
+  DPA_DCHECK(agg_total_ >= buf.size());
+  agg_total_ -= std::uint32_t(buf.size());
+  for (const GlobalRef& ref : buf) {
     auto it = m_.find(ref.addr);
     DPA_DCHECK(it != m_.end());
     DPA_DCHECK(it->second.st == Tile::St::kFresh);
     it->second.st = Tile::St::kRequested;
     it->second.requested_at = cpu.logical_now();
   }
-  outstanding_ += refs.size();
+  outstanding_ += buf.size();
   cpu.charge(cfg_.cost.flush_fixed, sim::Work::kComm);
-  send_request(cpu, dest, std::move(refs));
+  // send_request copies the refs into a list sized to them. The buffer
+  // then gives its block back, or every node would keep one full buffer
+  // per destination resident all phase.
+  send_request(cpu, dest, buf);
+  buf.clear();
+  buf.shrink_to_fit();
 }
 
 bool DpaEngine::flush_requests(sim::Cpu& cpu) {

@@ -39,8 +39,9 @@ namespace dpa::rt {
 class DpaEngine final : public EngineBase {
  public:
   DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-            Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-            fm::HandlerId h_accum, fm::HandlerId h_ack);
+            Arena& arena, ReturnPool& pool, fm::HandlerId h_req,
+            fm::HandlerId h_reply, fm::HandlerId h_accum,
+            fm::HandlerId h_ack);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) override;
@@ -97,12 +98,18 @@ class DpaEngine final : public EngineBase {
   // arena's free lists instead of the global allocator.
   template <class T>
   using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
+  template <class T>
+  using ArenaVector = std::vector<T, ArenaAllocator<T>>;
+  // Aggregation buffers live on the payload pool, whose size classes take a
+  // block back and hand it out again in O(1).
+  using RefBuffer =
+      std::vector<GlobalRef, ArenaAllocator<GlobalRef, ReturnPool>>;
 
   FlatMap<const void*, Tile> m_;
   ArenaDeque<const void*> ready_tiles_;
   ArenaDeque<std::pair<GlobalRef, ThreadFn>> local_ready_;
   ArenaDeque<OrderUnit> order_;  // deterministic mode only
-  std::vector<std::vector<GlobalRef>> agg_;  // per-destination Fresh refs
+  ArenaVector<RefBuffer> agg_;  // per-destination Fresh refs
   std::uint32_t agg_total_ = 0;
   // Per-destination buffered accumulations (flushed with the requests).
   std::vector<std::vector<std::pair<GlobalRef, AccumFn>>> acc_;

@@ -27,13 +27,13 @@ fm::FmLayer& Cluster::fm() {
 }
 
 EngineBase::EngineBase(Cluster& cluster, NodeId node,
-                       const RuntimeConfig& cfg, Arena& arena,
+                       const RuntimeConfig& cfg, ReturnPool& pool,
                        fm::HandlerId h_req, fm::HandlerId h_reply,
                        fm::HandlerId h_accum, fm::HandlerId h_ack)
     : cluster_(cluster),
       node_(node),
       cfg_(cfg),
-      arena_(arena),
+      pool_(pool),
       h_req_(h_req),
       h_reply_(h_reply),
       h_accum_(h_accum),
@@ -52,7 +52,6 @@ EngineBase::EngineBase(Cluster& cluster, NodeId node,
       trace_ = &cluster.obs->shards->shard(node_);
     }
   }
-  pool_payloads_ = cluster.exec().is_sim();
   const bool rel_enabled = cfg.retry.enabled || cluster.exec().lossy();
   // PhaseRunner already rejected this combination at construction; keep a
   // backstop for engines built outside a PhaseRunner.
@@ -214,7 +213,7 @@ void EngineBase::kick() {
 }
 
 void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
-                              std::vector<GlobalRef> refs) {
+                              std::span<const GlobalRef> refs) {
   DPA_DCHECK(!refs.empty());
   DPA_DCHECK(home != node_) << "request to self";
   const auto& cost = cfg_.cost;
@@ -230,7 +229,7 @@ void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
                                   node_, home, bytes, cpu.logical_now()));
   auto payload = alloc_payload<ReqPayload>();
   payload->requester = node_;
-  payload->refs = std::move(refs);
+  payload->refs = RefList(&pool_, refs);
   rel_send(cpu, home, h_req_, std::move(payload), bytes,
            obs::MsgCause::kRequest);
 }
@@ -256,7 +255,7 @@ void EngineBase::serve_request(sim::Cpu& cpu, const ReqPayload& req) {
                 msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kReply, node_,
                           req.requester, bytes, cpu.logical_now()));
   auto payload = alloc_payload<ReplyPayload>();
-  payload->refs = req.refs;
+  payload->refs = RefList(&pool_, req.refs);
   rel_send(cpu, req.requester, h_reply_, std::move(payload), bytes,
            obs::MsgCause::kReply);
 }

@@ -17,10 +17,14 @@
 //   * blocking  — synchronous fetch on every remote access.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/backend.h"
@@ -124,6 +128,65 @@ struct Cluster {
   }
 };
 
+// A request or reply's ref list, sized to its message: exactly size() refs
+// in one block of the sending node's ReturnPool, recycled from whichever
+// thread drops the payload. Lists decoded off a process boundary have no
+// pool and use the heap.
+class RefList {
+ public:
+  RefList() = default;
+  // `n` refs for the caller to fill through data().
+  RefList(ReturnPool* pool, std::size_t n)
+      : pool_(pool), size_(std::uint32_t(n)) {
+    if (n == 0) return;
+    data_ = static_cast<GlobalRef*>(
+        pool != nullptr ? pool->allocate(bytes(), alignof(GlobalRef))
+                        : ::operator new(bytes()));
+  }
+  RefList(ReturnPool* pool, std::span<const GlobalRef> refs)
+      : RefList(pool, refs.size()) {
+    std::copy(refs.begin(), refs.end(), data_);
+  }
+
+  RefList(RefList&& other) noexcept { take(other); }
+  RefList& operator=(RefList&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~RefList() { release(); }
+
+  GlobalRef* data() { return data_; }
+  const GlobalRef* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  const GlobalRef& operator[](std::size_t i) const { return data_[i]; }
+  const GlobalRef* begin() const { return data_; }
+  const GlobalRef* end() const { return data_ + size_; }
+
+ private:
+  std::size_t bytes() const { return std::size_t(size_) * sizeof(GlobalRef); }
+  void take(RefList& other) {
+    pool_ = other.pool_;
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  void release() {
+    if (data_ == nullptr) return;
+    if (pool_ != nullptr) {
+      pool_->recycle(data_, bytes());
+    } else {
+      ::operator delete(data_);
+    }
+    data_ = nullptr;
+  }
+
+  ReturnPool* pool_ = nullptr;
+  GlobalRef* data_ = nullptr;
+  std::uint32_t size_ = 0;
+};
+
 // Wire payloads. The simulation shares one address space; `bytes` on the FM
 // packet models the marshalled size.
 //
@@ -133,11 +196,11 @@ struct Cluster {
 struct ReqPayload {
   std::uint64_t rel_seq = 0;
   NodeId requester = 0;
-  std::vector<GlobalRef> refs;
+  RefList refs;
 };
 struct ReplyPayload {
   std::uint64_t rel_seq = 0;
-  std::vector<GlobalRef> refs;
+  RefList refs;
 };
 struct AccumPayload {
   std::uint64_t rel_seq = 0;
@@ -158,11 +221,12 @@ struct AckPayload {
 
 class EngineBase {
  public:
-  // `arena` is the phase arena (owned by PhaseRunner, reset between runs):
-  // engines back their scheduling queues with it so per-thread bookkeeping
-  // never touches the general-purpose allocator inside a timed phase.
+  // `pool` is the node's payload pool (owned by PhaseRunner beside the
+  // node's phase arena it draws from, reset between runs): wire payloads
+  // never touch the general-purpose allocator inside a timed phase. The
+  // engines back their scheduling queues with the arena itself.
   EngineBase(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-             Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+             ReturnPool& pool, fm::HandlerId h_req, fm::HandlerId h_reply,
              fm::HandlerId h_accum, fm::HandlerId h_ack);
   virtual ~EngineBase() = default;
 
@@ -238,8 +302,10 @@ class EngineBase {
   // One scheduler task: processes up to cfg.poll_batch units.
   virtual void sched(sim::Cpu& cpu) = 0;
 
-  // Sends a request for `refs` to their (common) home node.
-  void send_request(sim::Cpu& cpu, NodeId home, std::vector<GlobalRef> refs);
+  // Sends a request for `refs` to their (common) home node. The refs are
+  // copied into the payload, so the caller keeps its buffer.
+  void send_request(sim::Cpu& cpu, NodeId home,
+                    std::span<const GlobalRef> refs);
 
   // Runs one thread with its data; charges dispatch cost.
   void run_thread(sim::Cpu& cpu, const ThreadFn& fn, const void* data);
@@ -263,23 +329,19 @@ class EngineBase {
                            bytes);
   }
 
-  // Allocates a wire payload. On the sim backend (single host thread)
-  // payloads are arena-pooled: allocate_shared puts object + control block
-  // in one arena block that the free list recycles when the last reference
-  // drops, so a phase's million messages reuse a handful of blocks. The
-  // native backend releases payloads on the receiving thread, where the
-  // (single-owner) arena must not be touched — it keeps make_shared.
+  // Allocates a wire payload: object and shared_ptr control block in one
+  // block of this node's ReturnPool, recycled from whichever thread drops
+  // the last reference.
   template <class Payload>
   std::shared_ptr<Payload> alloc_payload() {
-    if (pool_payloads_)
-      return std::allocate_shared<Payload>(ArenaAllocator<Payload>(&arena_));
-    return std::make_shared<Payload>();
+    return std::allocate_shared<Payload>(
+        ArenaAllocator<Payload, ReturnPool>(&pool_));
   }
 
   Cluster& cluster_;
   NodeId node_;
   const RuntimeConfig& cfg_;
-  Arena& arena_;
+  ReturnPool& pool_;
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;
   fm::HandlerId h_accum_;
@@ -287,7 +349,6 @@ class EngineBase {
   NodeWork work_;
   std::uint64_t next_root_ = 0;
   bool sched_pending_ = false;
-  bool pool_payloads_ = false;
   RtNodeStats stats_;
 
   // Observability handles, resolved once at construction (null when no

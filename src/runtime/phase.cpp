@@ -42,10 +42,24 @@ T get(const std::uint8_t*& p, const std::uint8_t* end) {
   return v;
 }
 
+// A ref list on the wire: a count, then the refs as one raw array.
+void put_refs(std::vector<std::uint8_t>& b, const RefList& refs) {
+  put(b, std::uint32_t(refs.size()));
+  put_raw(b, refs.data(), refs.size() * sizeof(GlobalRef));
+}
+RefList get_refs(const std::uint8_t*& p, const std::uint8_t* end) {
+  const auto count = get<std::uint32_t>(p, end);
+  DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
+  RefList refs(nullptr, std::size_t(count));
+  if (count > 0) std::memcpy(refs.data(), p, count * sizeof(GlobalRef));
+  p += count * sizeof(GlobalRef);
+  return refs;
+}
+
 // The runtime's four wire payloads, flattened for the multi-process
 // backend. GlobalRef is trivially copyable (a host pointer + home + size;
 // the pointer stays valid across fork — same address space layout), so
-// ref vectors travel as raw arrays. AccumFn closures travel as their
+// ref lists travel as raw arrays. AccumFn closures travel as their
 // inline capture bytes plus the ops-table pointer as a type token — only
 // trivially marshallable closures may cross (DPA_CHECKed at marshal).
 
@@ -56,8 +70,7 @@ exec::WireCodec req_codec() {
         std::vector<std::uint8_t> b;
         put(b, req->rel_seq);
         put(b, req->requester);
-        put(b, std::uint32_t(req->refs.size()));
-        put_raw(b, req->refs.data(), req->refs.size() * sizeof(GlobalRef));
+        put_refs(b, req->refs);
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
@@ -65,10 +78,7 @@ exec::WireCodec req_codec() {
         auto req = std::make_shared<ReqPayload>();
         req->rel_seq = get<std::uint64_t>(p, end);
         req->requester = get<NodeId>(p, end);
-        const auto count = get<std::uint32_t>(p, end);
-        req->refs.resize(count);
-        DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
-        std::memcpy(req->refs.data(), p, count * sizeof(GlobalRef));
+        req->refs = get_refs(p, end);
         return req;
       }};
 }
@@ -79,19 +89,14 @@ exec::WireCodec reply_codec() {
         const auto* reply = static_cast<const ReplyPayload*>(data);
         std::vector<std::uint8_t> b;
         put(b, reply->rel_seq);
-        put(b, std::uint32_t(reply->refs.size()));
-        put_raw(b, reply->refs.data(),
-                reply->refs.size() * sizeof(GlobalRef));
+        put_refs(b, reply->refs);
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto reply = std::make_shared<ReplyPayload>();
         reply->rel_seq = get<std::uint64_t>(p, end);
-        const auto count = get<std::uint32_t>(p, end);
-        reply->refs.resize(count);
-        DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
-        std::memcpy(reply->refs.data(), p, count * sizeof(GlobalRef));
+        reply->refs = get_refs(p, end);
         return reply;
       }};
 }
@@ -176,8 +181,11 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
       << "(their fabrics are lossless — proc's reliability lives inside "
       << "the transport) — drop the retry config or run with --backend=sim";
   arenas_.reserve(cluster_.num_nodes());
-  for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i)
+  pools_.reserve(cluster_.num_nodes());
+  for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i) {
     arenas_.push_back(std::make_unique<Arena>());
+    pools_.push_back(std::make_unique<ReturnPool>(*arenas_.back()));
+  }
   // Every sequenced message passes rel_accept first: it acks the copy and
   // rejects retransmitted / fabric-duplicated deliveries, so the engine
   // proper sees exactly-once semantics even on a lossy network. Handlers
@@ -221,22 +229,23 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
 
 std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
   Arena& arena = *arenas_[node];
+  ReturnPool& pool = *pools_[node];
   switch (cfg_.kind) {
     case EngineKind::kDpa:
-      return std::make_unique<DpaEngine>(cluster_, node, cfg_, arena, h_req_,
-                                         h_reply_, h_accum_, h_ack_);
+      return std::make_unique<DpaEngine>(cluster_, node, cfg_, arena, pool,
+                                         h_req_, h_reply_, h_accum_, h_ack_);
     case EngineKind::kCaching:
-      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
+      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena, pool,
                                           h_req_, h_reply_, h_accum_, h_ack_,
                                           /*use_cache=*/true);
     case EngineKind::kBlocking:
-      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
+      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena, pool,
                                           h_req_, h_reply_, h_accum_, h_ack_,
                                           /*use_cache=*/false);
     case EngineKind::kPrefetch:
       return std::make_unique<PrefetchEngine>(cluster_, node, cfg_, arena,
-                                              h_req_, h_reply_, h_accum_,
-                                              h_ack_);
+                                              pool, h_req_, h_reply_,
+                                              h_accum_, h_ack_);
   }
   DPA_PANIC("unknown engine kind");
 }
@@ -248,9 +257,14 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
       << "phase needs one NodeWork per node: " << work.size() << " != " << n;
 
   // Tear down the previous run's engines *before* resetting the arenas
-  // their queues lived on, then hand the recycled chunks to the new ones.
+  // their queues lived on (and the payload pools drawn from them: the
+  // engines hold the last staged or in-flight payloads), then hand the
+  // recycled chunks to the new ones.
   engines_.clear();
-  for (auto& arena : arenas_) arena->reset();
+  for (NodeId i = 0; i < n; ++i) {
+    pools_[i]->reset();
+    arenas_[i]->reset();
+  }
   engines_.reserve(n);
   for (NodeId i = 0; i < n; ++i) engines_.push_back(make_engine(i));
 

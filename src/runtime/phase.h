@@ -75,12 +75,17 @@ class PhaseRunner {
 
   Cluster& cluster_;
   RuntimeConfig cfg_;
-  // Per-node phase arenas backing each engine's scheduler queues and (on
-  // the sim backend) its pooled wire payloads. One arena per node so the
-  // native backend's workers never share an allocator; reset at the top of
-  // run(), strictly after the previous engines are destroyed (their
-  // containers are the only users).
+  // Per-node phase arenas backing each engine's scheduler queues, and the
+  // per-node payload pools drawn from them. One of each per node, so only
+  // the node's current host allocates from them; any thread may return a
+  // payload. The pools live here, not in the engines, because a payload
+  // outlives its sender's engine work: accumulations stay staged at the
+  // receiving node until its barrier. Both are reset at the top of run(),
+  // strictly after the previous engines (the last payload holders) are
+  // destroyed, and declared before engines_ so they also outlive them on
+  // destruction.
   std::vector<std::unique_ptr<Arena>> arenas_;
+  std::vector<std::unique_ptr<ReturnPool>> pools_;
   std::vector<std::unique_ptr<EngineBase>> engines_;
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;

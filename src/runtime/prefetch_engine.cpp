@@ -10,9 +10,10 @@ namespace dpa::rt {
 
 PrefetchEngine::PrefetchEngine(Cluster& cluster, NodeId node,
                                const RuntimeConfig& cfg, Arena& arena,
-                               fm::HandlerId h_req, fm::HandlerId h_reply,
-                               fm::HandlerId h_accum, fm::HandlerId h_ack)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                               ReturnPool& pool, fm::HandlerId h_req,
+                               fm::HandlerId h_reply, fm::HandlerId h_accum,
+                               fm::HandlerId h_ack)
+    : EngineBase(cluster, node, cfg, pool, h_req, h_reply, h_accum, h_ack),
       stack_(ArenaAllocator<StackEntry>(&arena)),
       root_window_(ArenaAllocator<StackEntry>(&arena)) {}
 
@@ -46,7 +47,7 @@ void PrefetchEngine::prefetch_one(sim::Cpu& cpu, const GlobalRef& ref,
   if (cache_.count(ref.addr) != 0 || inflight_.count(ref.addr) != 0) return;
   cpu.charge(cfg_.cost.sync_issue, sim::Work::kComm);
   inflight_.insert(ref.addr);
-  send_request(cpu, ref.home, {ref});
+  send_request(cpu, ref.home, {&ref, 1});
 }
 
 void PrefetchEngine::issue_prefetches(sim::Cpu& cpu) {
@@ -118,7 +119,7 @@ void PrefetchEngine::sched(sim::Cpu& cpu) {
       // Not prefetched in time: demand fetch.
       cpu.charge(cfg_.cost.sync_issue, sim::Work::kComm);
       inflight_.insert(ref.addr);
-      send_request(cpu, ref.home, {ref});
+      send_request(cpu, ref.home, {&ref, 1});
     }
     return;  // stall until this object lands
   }

@@ -9,10 +9,10 @@ namespace dpa::rt {
 
 SyncEngine::SyncEngine(Cluster& cluster, NodeId node,
                        const RuntimeConfig& cfg, Arena& arena,
-                       fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum, fm::HandlerId h_ack,
-                       bool use_cache)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                       ReturnPool& pool, fm::HandlerId h_req,
+                       fm::HandlerId h_reply, fm::HandlerId h_accum,
+                       fm::HandlerId h_ack, bool use_cache)
+    : EngineBase(cluster, node, cfg, pool, h_req, h_reply, h_accum, h_ack),
       stack_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       use_cache_(use_cache) {}
 
@@ -94,7 +94,7 @@ void SyncEngine::sched(sim::Cpu& cpu) {
     wait_fn_ = std::move(fn);
     DPA_TRACE_EVT(trace_, instant(obs::Ev::kThreadSuspended, node_,
                                   cpu.logical_now()));
-    send_request(cpu, ref.home, {ref});
+    send_request(cpu, ref.home, {&ref, 1});
     return;
   }
   kick();  // yield to the inbox

@@ -23,8 +23,9 @@ class SyncEngine final : public EngineBase {
   // use_cache=true  -> EngineKind::kCaching
   // use_cache=false -> EngineKind::kBlocking
   SyncEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-             Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-             fm::HandlerId h_accum, fm::HandlerId h_ack, bool use_cache);
+             Arena& arena, ReturnPool& pool, fm::HandlerId h_req,
+             fm::HandlerId h_reply, fm::HandlerId h_accum,
+             fm::HandlerId h_ack, bool use_cache);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   void on_reply(sim::Cpu& cpu, const ReplyPayload& reply) override;

@@ -17,8 +17,13 @@
 //
 // Invariant (enforced by usage, asserted in PhaseRunner): reset() may only
 // run when no container built on this arena is alive.
+//
+// ReturnPool layers cross-thread release on top: one owner thread
+// allocates, any thread may free (see below).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -141,37 +146,110 @@ class Arena {
   std::size_t bytes_requested_ = 0;
 };
 
-// Standard-allocator adapter over Arena for STL containers. Deallocation
-// recycles the block into the arena's free list; memory is reclaimed
-// wholesale by Arena::reset().
-template <class T>
+// A size-classed block pool over an Arena whose blocks may be recycled from
+// any thread. Wire payloads are allocated by the sending node's engine but
+// freed wherever their last reference drops: on the receiving node's worker
+// thread, or (staged accumulations) at the receiver's phase barrier. Only
+// the owner — the one thread running the node at a time — allocates; a
+// recycled block is pushed onto its class's lock-free return stack, and the
+// owner takes a whole stack back with one exchange when its private free
+// list runs dry. That pop-all is the stack's only pop, so there is no ABA
+// problem, and a phase's messages keep reusing the few blocks that were
+// ever live at once.
+//
+// Sizes round up to kGranule bytes; each class holds one rounded size.
+// Requests above kMaxBlock bypass the pool (plain operator new/delete).
+// reset() may only run when every block is back and no recycle() is in
+// flight; it forgets the free lists, and the arena's own reset() reclaims
+// the memory.
+class ReturnPool {
+ public:
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kMaxBlock = 1024;
+
+  explicit ReturnPool(Arena& arena) : arena_(arena) {}
+
+  ReturnPool(const ReturnPool&) = delete;
+  ReturnPool& operator=(const ReturnPool&) = delete;
+
+  // Owner thread only.
+  void* allocate(std::size_t bytes, std::size_t align) {
+    DPA_CHECK(align <= kGranule) << "ReturnPool blocks are 16-byte aligned";
+    if (bytes > kMaxBlock) return ::operator new(bytes);
+    const std::size_t c = size_class(bytes);
+    void*& head = free_[c];
+    if (head == nullptr)
+      head = returned_[c].exchange(nullptr, std::memory_order_acquire);
+    if (head == nullptr) return arena_.allocate((c + 1) * kGranule, kGranule);
+    void* p = head;
+    head = *static_cast<void**>(p);
+    return p;
+  }
+
+  // Any thread. `bytes` is the size the block was allocated with.
+  void recycle(void* p, std::size_t bytes) noexcept {
+    if (bytes > kMaxBlock) {
+      ::operator delete(p);
+      return;
+    }
+    std::atomic<void*>& head = returned_[size_class(bytes)];
+    void* old = head.load(std::memory_order_relaxed);
+    do {
+      *static_cast<void**>(p) = old;
+    } while (!head.compare_exchange_weak(old, p, std::memory_order_release,
+                                         std::memory_order_relaxed));
+  }
+
+  void reset() {
+    free_.fill(nullptr);
+    for (std::atomic<void*>& head : returned_)
+      head.store(nullptr, std::memory_order_relaxed);
+  }
+
+ private:
+  static constexpr std::size_t kClasses = kMaxBlock / kGranule;
+  static std::size_t size_class(std::size_t bytes) {
+    return bytes == 0 ? 0 : (bytes - 1) / kGranule;
+  }
+
+  Arena& arena_;
+  std::array<void*, kClasses> free_{};  // owner-only
+  // Kept apart from free_, so remote pushes do not bounce the cache lines
+  // the owner allocates from.
+  alignas(64) std::array<std::atomic<void*>, kClasses> returned_{};
+};
+
+// Standard-allocator adapter over an Arena (or a ReturnPool) for STL
+// containers and allocate_shared. Deallocation recycles the block into the
+// pool's free lists; memory is reclaimed wholesale by Arena::reset().
+template <class T, class Pool = Arena>
 class ArenaAllocator {
  public:
   using value_type = T;
 
-  explicit ArenaAllocator(Arena* arena) : arena_(arena) {}
+  explicit ArenaAllocator(Pool* pool) : pool_(pool) {}
 
   template <class U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
+  ArenaAllocator(const ArenaAllocator<U, Pool>& other) : pool_(other.pool()) {}
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
+    return static_cast<T*>(pool_->allocate(n * sizeof(T), alignof(T)));
   }
-  void deallocate(T* p, std::size_t n) { arena_->recycle(p, n * sizeof(T)); }
+  void deallocate(T* p, std::size_t n) { pool_->recycle(p, n * sizeof(T)); }
 
-  Arena* arena() const { return arena_; }
+  Pool* pool() const { return pool_; }
 
   template <class U>
-  bool operator==(const ArenaAllocator<U>& o) const {
-    return arena_ == o.arena();
+  bool operator==(const ArenaAllocator<U, Pool>& o) const {
+    return pool_ == o.pool();
   }
   template <class U>
-  bool operator!=(const ArenaAllocator<U>& o) const {
-    return arena_ != o.arena();
+  bool operator!=(const ArenaAllocator<U, Pool>& o) const {
+    return pool_ != o.pool();
   }
 
  private:
-  Arena* arena_;
+  Pool* pool_;
 };
 
 }  // namespace dpa

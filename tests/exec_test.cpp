@@ -5,12 +5,14 @@
 // message passing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -458,6 +460,74 @@ TEST(NativeBackend, QuiescenceStaysExactWhileStealsAreInFlight) {
   EXPECT_GE(steals, 3u);  // at least the forced steal, every phase
 }
 
+// The watchdog fires once the quiescence counters stand still for
+// stuck_scans sweeps, i.e. for at least stuck_scans * scan_interval. Its
+// quiet-on-healthy tests run tasks that sleep, and a sleep can overrun that
+// window on a slow or stolen vCPU (a 200 us sleep was seen taking 7.9 ms);
+// the watchdog is then right to fire. So those tests measure health instead
+// of assuming it: every task logs when it finishes (each finish moves the
+// counters a moment later), and a run counts as healthy only if no stretch
+// without a finish reached half the window. The other half is margin for
+// the delay between a logged finish and its counter bump. Unhealthy runs
+// are re-run, a bounded number of times, on a fresh backend (the watchdog
+// fires at most once per backend).
+class FinishLog {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  void start_phase() {
+    std::lock_guard<std::mutex> lk(mu_);
+    last_ = Clock::now();
+  }
+  void finish() {
+    std::lock_guard<std::mutex> lk(mu_);
+    const Clock::time_point now = Clock::now();
+    longest_ = std::max(longest_, now - last_);
+    last_ = now;
+  }
+  // Longest stretch without a finish over every phase logged so far.
+  Clock::duration longest() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return longest_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Clock::time_point last_;
+  Clock::duration longest_{0};
+};
+
+constexpr int kHealthAttempts = 50;
+
+// Calls `attempt(log)` (build a backend armed with `cfg`, run its phases
+// with every task calling log.finish(), return whether the watchdog fired)
+// until one run is healthy, and asserts the watchdog stayed quiet on it.
+template <class Attempt>
+void expect_quiet_on_a_healthy_run(const exec::WatchdogConfig& cfg,
+                                   Attempt attempt) {
+  const std::chrono::nanoseconds window(cfg.scan_interval *
+                                        std::int64_t(cfg.stuck_scans));
+  std::chrono::nanoseconds worst{0};
+  for (int i = 0; i < kHealthAttempts; ++i) {
+    FinishLog log;
+    const bool fired = attempt(log);
+    const auto longest =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(log.longest());
+    if (longest < window / 2) {
+      EXPECT_FALSE(fired) << "watchdog fired on a healthy run: longest "
+                          << "stretch without a finished task "
+                          << longest.count() << " ns, window "
+                          << window.count() << " ns";
+      return;
+    }
+    worst = std::max(worst, longest);
+  }
+  FAIL() << "no healthy run in " << kHealthAttempts << " attempts (longest "
+         << "stretch without a finished task reached " << worst.count()
+         << " ns, need under " << (window / 2).count() << " ns): the host "
+         << "is too loaded to judge the watchdog";
+}
+
 TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   // Regression for the M:N port of the stall watchdog: progress is counted
   // per NODE (placement-oblivious counters), not per thread. Here node 2's
@@ -466,45 +536,52 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   // whole time. A thread-keyed sweep would see a parked/wedged-looking
   // original host and fire; the node-keyed sweep must stay quiet.
   constexpr std::uint32_t kTasks = 30;
-  exec::NativeBackend::Tuning tuning;
-  tuning.workers = 2;
-  tuning.idle_spins = 4;
-  tuning.idle_yields = 2;
-  tuning.park_timeout_us = 50;
-  exec::NativeBackend backend(3, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
   cfg.scan_interval = 1'000'000;  // 1 ms: many sweeps across the phase
   cfg.fatal = false;
-  ASSERT_TRUE(backend.arm_watchdog(cfg));
+  expect_quiet_on_a_healthy_run(cfg, [&](FinishLog& log) {
+    exec::NativeBackend::Tuning tuning;
+    tuning.workers = 2;
+    tuning.idle_spins = 4;
+    tuning.idle_yields = 2;
+    tuning.park_timeout_us = 50;
+    exec::NativeBackend backend(3, tuning);
+    EXPECT_TRUE(backend.arm_watchdog(cfg));
 
-  std::atomic<std::uint32_t> done{0};
-  auto* b = &backend;
-  struct Trickle {
-    exec::Backend* b;
-    std::atomic<std::uint32_t>* done;
-    void operator()(std::uint32_t i) const {
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-      done->fetch_add(1, std::memory_order_release);
-      if (i + 1 >= kTasks) return;
-      const Trickle self = *this;
-      b->post(2, [self, i](exec::Cpu&) { self(i + 1); });
-    }
-  };
-  backend.begin_phase();
-  // Blocker on node 0 (affinity worker 0) gated on the trickle finishing:
-  // node 2 (also affinity worker 0) can only run via a steal by worker 1.
-  backend.post(0, [&done](exec::Cpu&) {
-    while (done.load(std::memory_order_acquire) < kTasks)
-      std::this_thread::yield();
+    std::atomic<std::uint32_t> done{0};
+    struct Trickle {
+      exec::Backend* b;
+      std::atomic<std::uint32_t>* done;
+      FinishLog* log;
+      void operator()(std::uint32_t i) const {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        done->fetch_add(1, std::memory_order_release);
+        if (i + 1 < kTasks) {
+          const Trickle self = *this;
+          b->post(2, [self, i](exec::Cpu&) { self(i + 1); });
+        }
+        log->finish();
+      }
+    };
+    const Trickle trickle{&backend, &done, &log};
+    backend.begin_phase();
+    log.start_phase();
+    // Blocker on node 0 (affinity worker 0) gated on the trickle finishing:
+    // node 2 (also affinity worker 0) can only run via a steal by worker 1.
+    backend.post(0, [&done, &log](exec::Cpu&) {
+      while (done.load(std::memory_order_acquire) < kTasks)
+        std::this_thread::yield();
+      log.finish();
+    });
+    backend.post(2, [trickle](exec::Cpu&) { trickle(0); });
+    backend.run_phase();
+
+    EXPECT_EQ(done.load(), kTasks);
+    EXPECT_GE(backend.sched_stats().steals, 1u);
+    EXPECT_EQ(backend.last_worker(2), 1);
+    return backend.watchdog_fired();
   });
-  backend.post(2, [b, &done](exec::Cpu&) { Trickle{b, &done}(0); });
-  backend.run_phase();
-
-  EXPECT_EQ(done.load(), kTasks);
-  EXPECT_GE(backend.sched_stats().steals, 1u);
-  EXPECT_EQ(backend.last_worker(2), 1);
-  EXPECT_FALSE(backend.watchdog_fired());
 }
 
 TEST(Backend, TimerCapabilityMatchesSubstrate) {
@@ -814,41 +891,45 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
 TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
   // An armed watchdog must never fire on phases that merely take a few
   // sweeps to finish: progress on the counters resets the stuck count.
-  exec::NativeBackend::Tuning tuning;
-  tuning.idle_spins = 4;
-  tuning.idle_yields = 2;
-  tuning.park_timeout_us = 50;
-  exec::NativeBackend backend(4, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
   cfg.scan_interval = 1'000'000;  // 1 ms: many sweeps per phase below
   cfg.fatal = false;
-  ASSERT_TRUE(backend.arm_watchdog(cfg));
+  expect_quiet_on_a_healthy_run(cfg, [&](FinishLog& log) {
+    exec::NativeBackend::Tuning tuning;
+    tuning.idle_spins = 4;
+    tuning.idle_yields = 2;
+    tuning.park_timeout_us = 50;
+    exec::NativeBackend backend(4, tuning);
+    EXPECT_TRUE(backend.arm_watchdog(cfg));
 
-  std::atomic<std::uint64_t> ran{0};
-  struct Spawner {
-    exec::Backend* b;
-    std::atomic<std::uint64_t>* ran;
-    void operator()(int depth, std::uint32_t node) const {
-      ran->fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      if (depth == 0) return;
-      const Spawner self = *this;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint32_t next = (node + 1 + std::uint32_t(c)) % 4;
-        b->post(next,
-                [self, depth, next](exec::Cpu&) { self(depth - 1, next); });
+    std::atomic<std::uint64_t> ran{0};
+    struct Spawner {
+      exec::Backend* b;
+      std::atomic<std::uint64_t>* ran;
+      FinishLog* log;
+      void operator()(int depth, std::uint32_t node) const {
+        ran->fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const Spawner self = *this;
+        for (int c = 0; depth > 0 && c < 2; ++c) {
+          const std::uint32_t next = (node + 1 + std::uint32_t(c)) % 4;
+          b->post(next,
+                  [self, depth, next](exec::Cpu&) { self(depth - 1, next); });
+        }
+        log->finish();
       }
+    };
+    const Spawner spawner{&backend, &ran, &log};
+    for (int phase = 0; phase < 2; ++phase) {
+      backend.begin_phase();
+      log.start_phase();
+      backend.post(0, [spawner](exec::Cpu&) { spawner(6, 0); });
+      backend.run_phase();
     }
-  };
-  Spawner spawner{&backend, &ran};
-  for (int phase = 0; phase < 2; ++phase) {
-    backend.begin_phase();
-    backend.post(0, [spawner](exec::Cpu&) { spawner(6, 0); });
-    backend.run_phase();
-  }
-  EXPECT_EQ(ran.load(), 2 * ((1u << 7) - 1));
-  EXPECT_FALSE(backend.watchdog_fired());
+    EXPECT_EQ(ran.load(), 2 * ((1u << 7) - 1));
+    return backend.watchdog_fired();
+  });
 }
 
 TEST(NativeEngines, Em3dPublishesWorkerTraceAndProfiles) {
