@@ -321,7 +321,7 @@ struct FaultOptions {
     if (spec.empty()) return;
     sim::NetParams p;
     apply(&p);
-    std::printf("fault injection: %s (retry protocol engaged)\n\n",
+    std::printf("fault injection: %s (the sim fabric recovers drops and duplicates)\n\n",
                 p.faults.describe().c_str());
   }
 };

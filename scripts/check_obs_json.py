@@ -10,7 +10,8 @@ Usage:
 Validates that a Chrome trace is loadable (well-formed traceEvents with
 monotone-ready timestamps, per-worker drop counts consistent with the
 total), that a metrics snapshot follows dpa.metrics.v1 (--require-native
-additionally demands the native backend's exec.* wall-clock histograms),
+additionally demands the native backend's exec.* wall-clock histograms;
+a faulted snapshot must show the fabric recovered every drop),
 that bench --json output embeds a metrics block, and that a watchdog
 flight-recorder dump follows dpa.flightrec.v2 (per-node quiescence state
 plus the M:N pool's per-worker scheduler state). Exits non-zero on the
@@ -73,32 +74,32 @@ def check_trace(path, require_events):
           f"{doc['dropped_events']} dropped")
 
 
-# Counters the transport layer republishes under transport.* next to
-# their legacy names (src/runtime/phase.cpp): each pair must stay equal,
-# and a legacy counter without its alias means the aliasing broke.
-TRANSPORT_ALIASES = (
-    ("transport.retries", "rt.retries"),
-    ("transport.acks_sent", "rt.acks_sent"),
-    ("transport.acks_recv", "rt.acks_recv"),
-    ("transport.dup_msgs_dropped", "rt.dup_msgs_dropped"),
-    ("transport.trains_sent", "exec.trains"),
-)
-
-
-def check_transport_aliases(block, origin):
+# What recovery means on a faulted snapshot (src/runtime/phase.cpp
+# publishes net.fault.* from the network's fault injector and
+# transport.wire_* from the fabric that recovered). Every dropped message
+# forces at least one retransmission unless a fabric-duplicated copy got
+# the same information through, and an ack is received only after it was
+# sent.
+def check_fault_recovery(block, origin):
     counters = block["counters"]
-    # Only meaningful once a phase has published (mid-phase flight-recorder
-    # snapshots may predate any publication).
-    if counters.get("rt.phases", 0) == 0:
+    dropped = counters.get("net.fault.dropped_msgs", 0)
+    if dropped == 0:
         return
-    for alias, legacy in TRANSPORT_ALIASES:
-        if legacy in counters and alias not in counters:
-            fail(f"{origin}: {legacy!r} present without its transport "
-                 f"alias {alias!r}")
-        if alias in counters and legacy in counters \
-                and counters[alias] != counters[legacy]:
-            fail(f"{origin}: alias mismatch: {alias}={counters[alias]} "
-                 f"vs {legacy}={counters[legacy]}")
+    for name in ("transport.wire_retries", "transport.wire_acks_sent",
+                 "transport.wire_acks_recv"):
+        if name not in counters:
+            fail(f"{origin}: {dropped} dropped messages but no {name!r}")
+    retries = counters["transport.wire_retries"]
+    dups = counters.get("net.fault.dup_msgs", 0)
+    if retries + dups < dropped:
+        fail(f"{origin}: unrecovered drops: transport.wire_retries={retries} "
+             f"+ net.fault.dup_msgs={dups} < "
+             f"net.fault.dropped_msgs={dropped}")
+    acks_sent = counters["transport.wire_acks_sent"]
+    acks_recv = counters["transport.wire_acks_recv"]
+    if acks_sent < acks_recv:
+        fail(f"{origin}: transport.wire_acks_sent={acks_sent} < "
+             f"transport.wire_acks_recv={acks_recv}")
 
 
 # Wall-clock profile histograms the native backend publishes per phase
@@ -130,7 +131,7 @@ def check_metrics_block(block, origin, require_phases=True):
     if (require_phases and "rt.phases" in block["counters"]
             and block["counters"]["rt.phases"] == 0):
         fail(f"{origin}: rt.phases is zero — no phase published metrics")
-    check_transport_aliases(block, origin)
+    check_fault_recovery(block, origin)
     print(f"check_obs_json: OK: {origin}: {len(block['counters'])} counters, "
           f"{len(block['gauges'])} gauges, "
           f"{len(block['histograms'])} histograms")

@@ -2,8 +2,8 @@
 //
 // Everything the runtime layer used to hardwire against sim::Machine +
 // fm::FmLayer goes through this interface instead: node count, task spawn,
-// active-message send + handler registration, the time source for
-// reliability timers, and the phase barrier. Two implementations:
+// active-message send + handler registration, and the phase barrier.
+// Implementations:
 //
 //   * SimBackend    — the deterministic discrete-event simulator. Modeled
 //                     LogGP network, modeled time, byte-identical to the
@@ -19,7 +19,10 @@
 // The contract the runtime relies on:
 //   * Tasks posted to a node run serially, in post order, on that node.
 //   * A handler runs as a task on the destination node; a message sent
-//     during a phase is delivered within the same phase.
+//     during a phase is delivered exactly once, within the same phase. A
+//     fabric that can lose or duplicate messages recovers them itself
+//     (the faulted simulator's SimChannel, proc's ReliableChannel), so no
+//     layer above the backend sees sequence numbers, acks or retransmits.
 //   * begin_phase() zeroes per-node and messaging stats; run_phase()
 //     returns only when the whole machine is quiescent (no queued tasks,
 //     no in-flight messages).
@@ -99,19 +102,6 @@ struct WireCodec {
       unmarshal;
 };
 
-// Aggregate wire-transport counters for the last phase, merged across all
-// worker processes. All-zero on backends without a byte-stream fabric.
-struct WireStatsTotal {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_recv = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t payloads_recv = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t acks_recv = 0;
-  std::uint64_t dup_msgs_dropped = 0;
-};
-
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -152,19 +142,6 @@ class Backend {
     (void)node;
   }
 
-  // --- Time source ---------------------------------------------------
-  // Whether schedule_at() works here. The reliability/retry protocol needs
-  // deferred timers; configurations that enable it must check this up
-  // front (PhaseRunner does, at construction) instead of finding out from
-  // a mid-phase panic.
-  virtual bool supports_timers() const = 0;
-
-  // Schedules `fn` at absolute time `at` (reliability retransmit timers).
-  // Only valid when supports_timers(): the native fabric is in-process and
-  // lossless, so the retry protocol — and therefore this hook — never
-  // engages there.
-  virtual void schedule_at(Time at, TimerFn fn) = 0;
-
   // --- Phase barrier -------------------------------------------------
   // Marks the start of a timed phase (zeroes node + messaging stats);
   // returns the phase-start timestamp in this backend's clock.
@@ -182,10 +159,8 @@ class Backend {
   virtual Time idle_time(NodeId node, Time phase_elapsed) const = 0;
   virtual MsgStats msg_stats_total() const = 0;
   virtual void reset_msg_stats() = 0;
-
-  // True when a fault injector is armed (messages may be dropped /
-  // duplicated / delayed); engages the runtime's reliability layer.
-  virtual bool lossy() const = 0;
+  // Wire and fabric-recovery counters (see WireStatsTotal).
+  virtual WireStatsTotal wire_stats_total() const { return {}; }
 
   // --- Observability ---------------------------------------------------
   // Whether this backend can record structured trace events. The sim
@@ -249,8 +224,6 @@ class Backend {
   // Human-readable explanation of an incomplete phase (which worker died,
   // which nodes it owned). Empty when the last phase completed.
   virtual std::string phase_diagnostics() const { return {}; }
-
-  virtual WireStatsTotal wire_stats_total() const { return {}; }
 
   // Escape hatch for sim-specific callers (trace attachment, network
   // stats, targeted fault injection in tests). Null on the native backend.

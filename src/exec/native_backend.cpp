@@ -348,7 +348,7 @@ void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   sn.msg.bytes_sent += bytes;
 
   const HandlerEntry* e = handlers_[handler].get();
-  Packet pkt{src, dst, handler, std::move(data), bytes};
+  Packet pkt{src, dst, handler, bytes, std::move(data)};
   Node* dn = nodes_[dst].get();
   post(dst, [e, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
     ++dn->msg.msgs_recv;
@@ -363,15 +363,6 @@ void NativeBackend::flush(Cpu& cpu, NodeId node) {
   DPA_DCHECK(tls_node == std::int32_t(node))
       << "Backend::flush must run on the node it flushes";
   trains_.flush_src(node);
-}
-
-void NativeBackend::schedule_at(Time at, TimerFn fn) {
-  (void)at;
-  (void)fn;
-  DPA_PANIC(
-      "NativeBackend has no deferred timers (supports_timers() is false): "
-      "the in-process fabric is lossless, so the reliability/retry protocol "
-      "(the only schedule_at user) must stay on the sim backend");
 }
 
 Time NativeBackend::begin_phase() {

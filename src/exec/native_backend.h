@@ -84,9 +84,8 @@
 // starts a monitor thread that sweeps the per-node quiescence counters and
 // dumps a flight-recorder JSON instead of letting a wedged phase hang CI.
 //
-// Not supported (sim-only by design): reliability retransmit timers
-// (supports_timers() is false; schedule_at panics as a backstop — the
-// fabric cannot lose messages) and fault injection.
+// Not supported (sim-only by design): fault injection. The in-process
+// fabric cannot lose messages, so it needs no recovery protocol.
 #pragma once
 
 #include <atomic>
@@ -180,9 +179,6 @@ class NativeBackend final : public Backend,
 
   void flush(Cpu& cpu, NodeId node) override;
 
-  bool supports_timers() const override { return false; }
-  void schedule_at(Time at, TimerFn fn) override;
-
   Time begin_phase() override;
   PhaseExec run_phase() override;
 
@@ -195,9 +191,9 @@ class NativeBackend final : public Backend,
   }
   MsgStats msg_stats_total() const override;
   void reset_msg_stats() override;
+  // Safe to call mid-phase from any thread: the counters are relaxed
+  // atomics, so a running phase reads a live lower bound.
   SchedStats sched_stats() const override;
-
-  bool lossy() const override { return false; }
 
   bool supports_tracing() const override { return true; }
   void attach_shards(obs::ShardedTraceSink* shards) override;
@@ -293,8 +289,8 @@ class NativeBackend final : public Backend,
     std::uint64_t rng = 1;  // owner-only xorshift state (victim order)
     // Owner-only: swapped with a node's inbox to drain it outside the lock.
     std::vector<Task> drain;
-    // Relaxed counters: read mid-phase by the watchdog, summed post-phase
-    // by sched_stats().
+    // Relaxed counters: read mid-phase by the watchdog, summed by
+    // sched_stats().
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> activations{0};

@@ -1,11 +1,12 @@
 // SimBackend: the discrete-event simulator behind the Backend interface.
 //
-// Owns the sim::Machine (engine + LogGP network + node processors) and the
-// fm::FmLayer (active messages with MTU segmentation) exactly as the
-// runtime used them before the Backend split. Behavior-preserving by
-// construction: every call forwards to the same machine/fm entry points in
-// the same order, so simulations are byte-identical to the pre-Backend tree
-// (golden-checked).
+// Owns the sim::Machine (engine + LogGP network + node processors), the
+// fm::FmLayer (active messages with MTU segmentation) and the
+// transport::SimChannel every send and handler goes through. Fault-free,
+// every call forwards to the same machine/fm entry points in the same
+// order, so simulations are byte-identical to the pre-Backend tree
+// (golden-checked). Under a FaultPlan the channel recovers the network's
+// drops and duplicates, so the runtime always sees an exactly-once fabric.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,7 @@ class SimBackend final : public Backend {
   std::uint32_t num_nodes() const override { return machine_.num_nodes(); }
 
   HandlerId register_handler(std::string name, Handler fn) override {
-    return fm_.register_handler(std::move(name), std::move(fn));
+    return channel_.register_handler(std::move(name), std::move(fn));
   }
   const std::string& handler_name(HandlerId id) const override {
     return fm_.handler_name(id);
@@ -38,9 +39,10 @@ class SimBackend final : public Backend {
             std::shared_ptr<void> data, std::uint32_t bytes) override {
     // Route through the transport::Channel view of the FM layer — one
     // forwarding hop, same fm::FmLayer::send call as the pre-transport
-    // tree, so modeled time and goldens are unchanged.
+    // tree, so modeled time and goldens are unchanged. Under a FaultPlan
+    // the channel also sequences the message for recovery.
     transport::TrainItem item;
-    item.packet = Packet{src, dst, handler, std::move(data), bytes};
+    item.packet = Packet{src, dst, handler, bytes, std::move(data)};
     channel_.send_train(&cpu, src, dst, std::move(item));
   }
 
@@ -48,15 +50,10 @@ class SimBackend final : public Backend {
     machine_.node(node).post(std::move(task));
   }
 
-  bool supports_timers() const override { return true; }
-
-  void schedule_at(Time at, TimerFn fn) override {
-    machine_.engine().schedule_at(at, std::move(fn));
-  }
-
   Time begin_phase() override {
     machine_.begin_phase();
     fm_.reset_stats();
+    channel_.reset();
     return machine_.phase_start();
   }
 
@@ -76,8 +73,7 @@ class SimBackend final : public Backend {
   }
   MsgStats msg_stats_total() const override { return fm_.aggregate_stats(); }
   void reset_msg_stats() override { fm_.reset_stats(); }
-
-  bool lossy() const override { return machine_.network().injector() != nullptr; }
+  WireStatsTotal wire_stats_total() const override { return channel_.stats(); }
 
   // Traces through sim_machine()->set_trace() (the Tracer path), not
   // worker shards — there are no worker threads here.

@@ -77,22 +77,28 @@ class Cpu {
 // heap-allocate in-tree.
 using Task = InlineFn<void(Cpu&), 64>;
 
-// Raw deferred event for the reliability layer's retransmit timers
-// (sim backend only; the native fabric is in-process and lossless).
-using TimerFn = InlineFn<void(), 64>;
-
 using HandlerId = std::uint16_t;
 
 // An active message as the destination handler sees it. The whole
 // reproduction shares one host address space, so payloads travel as
 // shared_ptr<void> plus a declared byte size used for costing.
+//
+// `seq` belongs to the fabric, not the handler: a lossy fabric that
+// recovers its own faults (the faulted simulator) stamps its per-sender
+// sequence number here. 0 means unsequenced — every message on a lossless
+// fabric.
 struct Packet {
   NodeId src = 0;
   NodeId dst = 0;
   HandlerId handler = 0;
-  std::shared_ptr<void> data;  // handler-defined payload
   std::uint32_t bytes = 0;     // modeled wire size (payload incl. headers)
+  std::shared_ptr<void> data;  // handler-defined payload
+  std::uint64_t seq = 0;
 };
+// `bytes` sits in the padding after `handler`, so the seq costs no space:
+// the simulator's per-fragment delivery event captures a Packet and must
+// stay within its 64-byte inline buffer.
+static_assert(sizeof(Packet) <= 40, "Packet outgrew the inline closures");
 
 // Runs on the destination node, in a destination-node task context.
 using Handler = InlineFn<void(Cpu&, const Packet&), 48>;
@@ -139,6 +145,21 @@ struct MsgStats {
   std::uint64_t trains_sent = 0;
 
   void reset() { *this = MsgStats{}; }
+};
+
+// Aggregate wire-transport counters for the last phase, merged across all
+// worker processes. The frame/byte counters are all-zero on backends
+// without a byte-stream fabric; the reliability counters are all-zero on a
+// fabric that needed no recovery (every fault-free run).
+struct WireStatsTotal {
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_recv = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t payloads_recv = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t acks_recv = 0;
+  std::uint64_t dup_msgs_dropped = 0;
 };
 
 }  // namespace dpa::exec

@@ -17,7 +17,8 @@ HandlerId FmLayer::register_handler(std::string name, Handler fn) {
 }
 
 void FmLayer::send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
-                   std::shared_ptr<void> data, std::uint32_t bytes) {
+                   std::shared_ptr<void> data, std::uint32_t bytes,
+                   std::uint64_t seq) {
   DPA_CHECK(handler < handlers_.size()) << "unregistered handler " << handler;
   DPA_CHECK(src < machine_.num_nodes() && dst < machine_.num_nodes());
 
@@ -39,7 +40,7 @@ void FmLayer::send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
     lost = true;
   }
 
-  Packet packet{src, dst, handler, std::move(data), bytes};
+  Packet packet{src, dst, handler, bytes, std::move(data), seq};
 
   auto* injector = net.injector();
   if (injector != nullptr && !lost && injector->roll_msg_drop(src, dst)) {

@@ -40,8 +40,7 @@ class DpaEngine final : public EngineBase {
  public:
   DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
             Arena& arena, ReturnPool& pool, fm::HandlerId h_req,
-            fm::HandlerId h_reply, fm::HandlerId h_accum,
-            fm::HandlerId h_ack);
+            fm::HandlerId h_reply, fm::HandlerId h_accum);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) override;

@@ -8,19 +8,6 @@
 
 namespace dpa::rt {
 
-namespace {
-// RetryParams (runtime config surface) -> RetryPolicy (transport core).
-// Field-for-field; the two exist so transport/ carries no config.h dep.
-transport::RetryPolicy retry_policy(const RetryParams& r) {
-  transport::RetryPolicy p;
-  p.timeout_ns = r.timeout_ns;
-  p.backoff = r.backoff;
-  p.max_timeout_ns = r.max_timeout_ns;
-  p.max_retries = r.max_retries;
-  return p;
-}
-}  // namespace
-
 fm::FmLayer& Cluster::fm() {
   DPA_CHECK(backend->is_sim()) << "cluster is not on the sim backend";
   return static_cast<exec::SimBackend*>(backend.get())->fm();
@@ -29,15 +16,14 @@ fm::FmLayer& Cluster::fm() {
 EngineBase::EngineBase(Cluster& cluster, NodeId node,
                        const RuntimeConfig& cfg, ReturnPool& pool,
                        fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum, fm::HandlerId h_ack)
+                       fm::HandlerId h_accum)
     : cluster_(cluster),
       node_(node),
       cfg_(cfg),
       pool_(pool),
       h_req_(h_req),
       h_reply_(h_reply),
-      h_accum_(h_accum),
-      h_ack_(h_ack) {
+      h_accum_(h_accum) {
   // Both trace sinks are single-writer structures. On the sim backend all
   // engines run on the one simulator thread and share the session tracer;
   // on the native backend each engine runs on its own worker thread and
@@ -52,80 +38,6 @@ EngineBase::EngineBase(Cluster& cluster, NodeId node,
       trace_ = &cluster.obs->shards->shard(node_);
     }
   }
-  const bool rel_enabled = cfg.retry.enabled || cluster.exec().lossy();
-  // PhaseRunner already rejected this combination at construction; keep a
-  // backstop for engines built outside a PhaseRunner.
-  DPA_CHECK(!rel_enabled || cluster.exec().supports_timers())
-      << "the reliability/retry protocol needs a backend with deferred "
-      << "timers (retransmit deadlines); this one has none";
-  if (rel_enabled)
-    rel_.engage(cluster.num_nodes(), retry_policy(cfg.retry), node_);
-}
-
-void EngineBase::rel_track(sim::Cpu& cpu, NodeId dst, fm::HandlerId handler,
-                           std::shared_ptr<void> data, std::uint32_t bytes,
-                           std::uint64_t seq, obs::MsgCause cause) {
-  (void)cause;
-  transport::Reliable::Pending pending;
-  pending.dst = dst;
-  pending.handler = handler;
-  pending.data = std::move(data);
-  pending.bytes = bytes;
-  const Time deadline = rel_.track(seq, std::move(pending), cpu.logical_now());
-  cluster_.backend->schedule_at(deadline, [this, seq] { rel_timer(seq); });
-}
-
-void EngineBase::rel_timer(std::uint64_t seq) {
-  if (!rel_.is_pending(seq)) return;  // acked
-  cluster_.backend->post(node_,
-                         [this, seq](sim::Cpu& cpu) { rel_retry(cpu, seq); });
-}
-
-void EngineBase::rel_retry(sim::Cpu& cpu, std::uint64_t seq) {
-  // retry() bumps attempts (fatal past max_retries) and applies the capped
-  // exponential backoff; this side re-sends and re-arms — the substrate
-  // half the protocol core does not own. The returned pointer is stable
-  // here: nothing below touches the in-flight table.
-  const transport::Reliable::Pending* p = rel_.retry(seq);
-  if (p == nullptr) return;  // ack raced the posted task
-  ++stats_.retries;
-  cpu.charge(cfg_.cost.flush_fixed, sim::Work::kComm);
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRetry,
-                                  node_, p->dst, p->bytes, cpu.logical_now()));
-  cluster_.backend->send(cpu, node_, p->dst, fm::HandlerId(p->handler),
-                         p->data, p->bytes);
-  cluster_.backend->schedule_at(cpu.logical_now() + p->timeout,
-                                [this, seq] { rel_timer(seq); });
-}
-
-bool EngineBase::rel_accept(sim::Cpu& cpu, NodeId src, std::uint64_t seq) {
-  if (seq == 0) return true;  // unsequenced: sender runs without the protocol
-  DPA_CHECK(rel_.engaged())
-      << "sequenced message on node " << node_ << " but its engine has the "
-      << "reliability layer off — mismatched RuntimeConfigs?";
-  // Ack every copy, duplicates included: the ack for an earlier copy may
-  // itself have been lost, and acks are idempotent at the sender.
-  ++stats_.acks_sent;
-  auto ack = alloc_payload<AckPayload>();
-  ack->from = node_;
-  ack->seq = seq;
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kAck,
-                                  node_, src, cfg_.cost.msg_header_bytes,
-                                  cpu.logical_now()));
-  cluster_.backend->send(cpu, node_, src, h_ack_, std::move(ack),
-                         cfg_.cost.msg_header_bytes);
-  if (!rel_.accept(src, seq)) {
-    ++stats_.dup_msgs_dropped;
-    return false;
-  }
-  return true;
-}
-
-void EngineBase::on_ack(sim::Cpu& cpu, const AckPayload& ack) {
-  (void)cpu;  // recv overhead is already charged by the FM layer
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kAck,
-                                  node_, ack.from, 0, cpu.logical_now()));
-  if (rel_.on_ack(ack.seq)) ++stats_.acks_recv;
 }
 
 void EngineBase::accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) {
@@ -161,8 +73,8 @@ void EngineBase::send_accum(
   auto payload = alloc_payload<AccumPayload>();
   payload->accum_seq = ++accum_seq_next_;
   payload->items = std::move(items);
-  rel_send(cpu, home, h_accum_, std::move(payload), bytes,
-           obs::MsgCause::kAccum);
+  cluster_.backend->send(cpu, node_, home, h_accum_, std::move(payload),
+                         bytes);
 }
 
 void EngineBase::serve_accum(sim::Cpu& cpu, NodeId src,
@@ -230,8 +142,7 @@ void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
   auto payload = alloc_payload<ReqPayload>();
   payload->requester = node_;
   payload->refs = RefList(&pool_, refs);
-  rel_send(cpu, home, h_req_, std::move(payload), bytes,
-           obs::MsgCause::kRequest);
+  cluster_.backend->send(cpu, node_, home, h_req_, std::move(payload), bytes);
 }
 
 void EngineBase::serve_request(sim::Cpu& cpu, const ReqPayload& req) {
@@ -256,8 +167,8 @@ void EngineBase::serve_request(sim::Cpu& cpu, const ReqPayload& req) {
                           req.requester, bytes, cpu.logical_now()));
   auto payload = alloc_payload<ReplyPayload>();
   payload->refs = RefList(&pool_, req.refs);
-  rel_send(cpu, req.requester, h_reply_, std::move(payload), bytes,
-           obs::MsgCause::kReply);
+  cluster_.backend->send(cpu, node_, req.requester, h_reply_,
+                         std::move(payload), bytes);
 }
 
 void EngineBase::run_thread(sim::Cpu& cpu, const ThreadFn& fn,

@@ -56,7 +56,7 @@ RefList get_refs(const std::uint8_t*& p, const std::uint8_t* end) {
   return refs;
 }
 
-// The runtime's four wire payloads, flattened for the multi-process
+// The runtime's three wire payloads, flattened for the multi-process
 // backend. GlobalRef is trivially copyable (a host pointer + home + size;
 // the pointer stays valid across fork — same address space layout), so
 // ref lists travel as raw arrays. AccumFn closures travel as their
@@ -68,7 +68,6 @@ exec::WireCodec req_codec() {
       [](const void* data, std::uint32_t) {
         const auto* req = static_cast<const ReqPayload*>(data);
         std::vector<std::uint8_t> b;
-        put(b, req->rel_seq);
         put(b, req->requester);
         put_refs(b, req->refs);
         return b;
@@ -76,7 +75,6 @@ exec::WireCodec req_codec() {
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto req = std::make_shared<ReqPayload>();
-        req->rel_seq = get<std::uint64_t>(p, end);
         req->requester = get<NodeId>(p, end);
         req->refs = get_refs(p, end);
         return req;
@@ -88,14 +86,12 @@ exec::WireCodec reply_codec() {
       [](const void* data, std::uint32_t) {
         const auto* reply = static_cast<const ReplyPayload*>(data);
         std::vector<std::uint8_t> b;
-        put(b, reply->rel_seq);
         put_refs(b, reply->refs);
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto reply = std::make_shared<ReplyPayload>();
-        reply->rel_seq = get<std::uint64_t>(p, end);
         reply->refs = get_refs(p, end);
         return reply;
       }};
@@ -106,7 +102,6 @@ exec::WireCodec accum_codec() {
       [](const void* data, std::uint32_t) {
         const auto* accum = static_cast<const AccumPayload*>(data);
         std::vector<std::uint8_t> b;
-        put(b, accum->rel_seq);
         put(b, accum->accum_seq);
         put(b, std::uint32_t(accum->items.size()));
         for (const auto& [ref, fn] : accum->items) {
@@ -123,7 +118,6 @@ exec::WireCodec accum_codec() {
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto accum = std::make_shared<AccumPayload>();
-        accum->rel_seq = get<std::uint64_t>(p, end);
         accum->accum_seq = get<std::uint64_t>(p, end);
         const auto count = get<std::uint32_t>(p, end);
         accum->items.reserve(count);
@@ -142,18 +136,6 @@ exec::WireCodec accum_codec() {
       }};
 }
 
-exec::WireCodec ack_codec() {
-  return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
-        std::vector<std::uint8_t> b;
-        put(b, *static_cast<const AckPayload*>(data));
-        return b;
-      },
-      [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
-        const std::uint8_t* end = p + len;
-        return std::make_shared<AckPayload>(get<AckPayload>(p, end));
-      }};
-}
 }  // namespace
 
 double PhaseResult::mean_compute_s() const {
@@ -172,51 +154,30 @@ double PhaseResult::mean_idle_s() const {
 PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   cfg_.validate();
-  // Fail at construction, not from a schedule_at panic mid-phase: the
-  // retry/timeout protocol arms retransmit timers, which only a backend
-  // with deferred timers (the simulator) can run.
-  DPA_CHECK(!cfg_.retry.enabled || cluster_.exec().supports_timers())
-      << "retry/timeout reliability config needs a backend with deferred "
-      << "timers; --backend=native and --backend=proc cannot honor it "
-      << "(their fabrics are lossless — proc's reliability lives inside "
-      << "the transport) — drop the retry config or run with --backend=sim";
   arenas_.reserve(cluster_.num_nodes());
   pools_.reserve(cluster_.num_nodes());
   for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i) {
     arenas_.push_back(std::make_unique<Arena>());
     pools_.push_back(std::make_unique<ReturnPool>(*arenas_.back()));
   }
-  // Every sequenced message passes rel_accept first: it acks the copy and
-  // rejects retransmitted / fabric-duplicated deliveries, so the engine
-  // proper sees exactly-once semantics even on a lossy network. Handlers
-  // run as tasks on the destination node — on the native backend that is
-  // the destination's worker thread, so each touches only its own engine.
+  // Handlers run as tasks on the destination node — on the native backend
+  // that is the destination's worker thread, so each touches only its own
+  // engine. The backend delivers each message exactly once, faults or not.
   auto& backend = cluster_.exec();
   h_req_ = backend.register_handler(
       "rt.request", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* req = static_cast<ReqPayload*>(pkt.data.get());
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, req->rel_seq)) return;
-        engine.serve_request(cpu, *req);
+        engines_[pkt.dst]->serve_request(
+            cpu, *static_cast<const ReqPayload*>(pkt.data.get()));
       });
   h_reply_ = backend.register_handler(
       "rt.reply", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* reply = static_cast<ReplyPayload*>(pkt.data.get());
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, reply->rel_seq)) return;
-        engine.on_reply(cpu, *reply);
+        engines_[pkt.dst]->on_reply(
+            cpu, *static_cast<const ReplyPayload*>(pkt.data.get()));
       });
   h_accum_ = backend.register_handler(
       "rt.accum", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto payload = std::static_pointer_cast<AccumPayload>(pkt.data);
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, payload->rel_seq)) return;
-        engine.serve_accum(cpu, pkt.src, std::move(payload));
-      });
-  h_ack_ = backend.register_handler(
-      "rt.ack", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* ack = static_cast<AckPayload*>(pkt.data.get());
-        engines_[pkt.dst]->on_ack(cpu, *ack);
+        engines_[pkt.dst]->serve_accum(
+            cpu, pkt.src, std::static_pointer_cast<AccumPayload>(pkt.data));
       });
   // Byte codecs for the multi-process backend (no-ops elsewhere): how each
   // payload crosses a process boundary when src and dst live in different
@@ -224,7 +185,6 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
   backend.set_wire_codec(h_req_, req_codec());
   backend.set_wire_codec(h_reply_, reply_codec());
   backend.set_wire_codec(h_accum_, accum_codec());
-  backend.set_wire_codec(h_ack_, ack_codec());
 }
 
 std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
@@ -233,19 +193,19 @@ std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
   switch (cfg_.kind) {
     case EngineKind::kDpa:
       return std::make_unique<DpaEngine>(cluster_, node, cfg_, arena, pool,
-                                         h_req_, h_reply_, h_accum_, h_ack_);
+                                         h_req_, h_reply_, h_accum_);
     case EngineKind::kCaching:
       return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena, pool,
-                                          h_req_, h_reply_, h_accum_, h_ack_,
+                                          h_req_, h_reply_, h_accum_,
                                           /*use_cache=*/true);
     case EngineKind::kBlocking:
       return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena, pool,
-                                          h_req_, h_reply_, h_accum_, h_ack_,
+                                          h_req_, h_reply_, h_accum_,
                                           /*use_cache=*/false);
     case EngineKind::kPrefetch:
       return std::make_unique<PrefetchEngine>(cluster_, node, cfg_, arena,
                                               pool, h_req_, h_reply_,
-                                              h_accum_, h_ack_);
+                                              h_accum_);
   }
   DPA_PANIC("unknown engine kind");
 }
@@ -343,40 +303,33 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     nb.idle = backend.idle_time(i, result.elapsed);
     result.rt.absorb(node_rt[i]);
   }
+  const sim::FaultInjector* injector = nullptr;
   if (sim::Machine* m = backend.sim_machine()) {
     result.net = m->network().stats();
-    if (const auto* injector = m->network().injector())
-      result.faults = injector->stats();
+    injector = m->network().injector();
+    if (injector != nullptr) result.faults = injector->stats();
   }
   result.fm_total = backend.msg_stats_total();
+  result.wire = backend.wire_stats_total();
 
   if (cluster_.obs != nullptr) {
     auto& m = cluster_.obs->metrics;
     result.rt.publish(m);
     *m.counter("rt.phases") += 1;
-    // Transport-layer aliases. The reliability protocol lives in
-    // transport::Reliable and trains depart through transport::Channel, so
-    // the same counters are published under transport.* alongside the
-    // legacy rt.* / exec.trains names (scripts/check_obs_json.py checks
-    // each pair stays equal). trains_sent covers both fabrics: mailbox
-    // hand-offs on native, FM-layer message trains on sim.
-    *m.counter("transport.retries") += result.rt.retries;
-    *m.counter("transport.acks_sent") += result.rt.acks_sent;
-    *m.counter("transport.acks_recv") += result.rt.acks_recv;
-    *m.counter("transport.dup_msgs_dropped") += result.rt.dup_msgs_dropped;
-    *m.counter("transport.trains_sent") += result.fm_total.trains_sent;
+    // Fabric recovery, on every backend: the faulted sim's SimChannel or
+    // proc's ReliableChannel (all zero on a fabric that lost nothing).
+    const exec::WireStatsTotal& wt = result.wire;
+    *m.counter("transport.wire_retries") += wt.retries;
+    *m.counter("transport.wire_acks_sent") += wt.acks_sent;
+    *m.counter("transport.wire_acks_recv") += wt.acks_recv;
+    *m.counter("transport.wire_dup_dropped") += wt.dup_msgs_dropped;
     if (backend.kind() == exec::BackendKind::kProc) {
       // Real bytes on the socketpair fabric, merged across all worker
-      // processes (frame codec + reliability decorator counters).
-      const exec::WireStatsTotal wt = backend.wire_stats_total();
+      // processes.
       *m.counter("transport.wire_frames_sent") += wt.frames_sent;
       *m.counter("transport.wire_frames_recv") += wt.frames_recv;
       *m.counter("transport.wire_bytes_sent") += wt.bytes_sent;
       *m.counter("transport.wire_payloads_recv") += wt.payloads_recv;
-      *m.counter("transport.wire_retries") += wt.retries;
-      *m.counter("transport.wire_acks_sent") += wt.acks_sent;
-      *m.counter("transport.wire_acks_recv") += wt.acks_recv;
-      *m.counter("transport.wire_dup_dropped") += wt.dup_msgs_dropped;
     }
     if (backend.is_sim()) {
       *m.counter("sim.events") += result.sim_events;
@@ -406,7 +359,7 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     *m.counter("fm.msgs_recv") += result.fm_total.msgs_recv;
     *m.counter("fm.bytes_sent") += result.fm_total.bytes_sent;
     *m.counter("fm.bytes_recv") += result.fm_total.bytes_recv;
-    if (backend.lossy()) {
+    if (injector != nullptr) {
       *m.counter("net.fault.dropped_msgs") += result.faults.dropped_msgs;
       *m.counter("net.fault.dup_msgs") += result.faults.dup_msgs;
       *m.counter("net.fault.delayed_frags") += result.faults.delayed_frags;

@@ -34,6 +34,9 @@ struct PhaseResult {
   sim::NetStats net;       // sim backend only (zero on native)
   sim::FaultStats faults;  // zero on a reliable (fault-free) network
   fm::FmNodeStats fm_total;
+  // Wire and fabric-recovery counters (retries, acks, dropped duplicates);
+  // all zero on a fabric that lost nothing.
+  exec::WireStatsTotal wire;
   // Substrate progress units: discrete events processed (sim) or node
   // tasks executed (native).
   std::uint64_t sim_events = 0;
@@ -90,7 +93,6 @@ class PhaseRunner {
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;
   fm::HandlerId h_accum_;
-  fm::HandlerId h_ack_;
 };
 
 }  // namespace dpa::rt

@@ -11,8 +11,8 @@ SyncEngine::SyncEngine(Cluster& cluster, NodeId node,
                        const RuntimeConfig& cfg, Arena& arena,
                        ReturnPool& pool, fm::HandlerId h_req,
                        fm::HandlerId h_reply, fm::HandlerId h_accum,
-                       fm::HandlerId h_ack, bool use_cache)
-    : EngineBase(cluster, node, cfg, pool, h_req, h_reply, h_accum, h_ack),
+                       bool use_cache)
+    : EngineBase(cluster, node, cfg, pool, h_req, h_reply, h_accum),
       stack_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       use_cache_(use_cache) {}
 

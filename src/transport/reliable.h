@@ -1,5 +1,5 @@
 // transport::Reliable — the seq/ack/timeout/retransmit + receiver-dedup
-// protocol core, relocated out of the runtime's EngineBase.
+// protocol core, the one implementation of recovery in the tree.
 //
 // This is the substrate-agnostic state machine: per-sender sequence
 // numbers, the in-flight (unacked) message table with exponential-backoff
@@ -9,14 +9,15 @@
 // costs, sends bytes/payloads, and arms timers, because those are
 // substrate properties —
 //
-//   * the runtime engines drive it through exec::Backend::schedule_at on
-//     the simulator, where retransmission timing is part of the modeled
-//     phase and must stay byte-identical to the goldens;
+//   * SimChannel drives it on a faulted simulator, arming retransmit
+//     deadlines on the simulator's event queue, where retransmission
+//     timing is part of the modeled phase and replays deterministically;
 //   * ReliableChannel drives it with an explicit pump(now) over a framed
 //     channel, where retransmission is real I/O.
 //
-// Same protocol, one implementation, two substrates — the property the
-// multi-process backend needs.
+// Same protocol, one implementation, two substrates. Both sit below
+// exec::Backend, so the runtime engines only ever see exactly-once
+// delivery.
 //
 // Protocol invariants (unchanged from PR 2):
 //   * seq 0 means "unsequenced": the sender runs without the protocol and
@@ -47,8 +48,7 @@ namespace dpa::transport {
 using exec::NodeId;
 using exec::Time;
 
-// Retransmission policy. Field-compatible with the runtime's RetryParams
-// (rt::retry_policy() converts); defaults match it.
+// Retransmission policy. The sim fabric runs the defaults.
 struct RetryPolicy {
   Time timeout_ns = 2'000'000;        // first retransmit deadline
   double backoff = 2.0;               // deadline multiplier per attempt
@@ -59,7 +59,7 @@ struct RetryPolicy {
 class Reliable {
  public:
   // One unacked in-flight message. Either `data` (in-memory payload, the
-  // engine path) or `wire` (encoded payload, the framed-channel path)
+  // sim-fabric path) or `wire` (encoded payload, the framed-channel path)
   // keeps the bytes alive for retransmission; a retry re-sends the same
   // representation under the same seq.
   struct Pending {

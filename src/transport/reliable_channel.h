@@ -1,9 +1,9 @@
 // ReliableChannel: exactly-once delivery over any framed, possibly lossy
 // Channel — the transport::Reliable protocol core wired up as a decorator.
 //
-// The same state machine the runtime engines drive through the simulator's
-// timer wheel (seq/ack/backoff-retransmit, receiver dedup) runs here
-// against a real wire: the decorator stamps each outgoing payload with a
+// The same state machine SimChannel drives through the simulator's event
+// queue (seq/ack/backoff-retransmit, receiver dedup) runs here against a
+// real wire: the decorator stamps each outgoing payload with a
 // per-sender sequence number, tracks it until the matching ack frame comes
 // back, and retransmits past-deadline messages when the caller pumps the
 // clock forward. Receivers ack every sequenced copy (duplicates included —
@@ -14,7 +14,7 @@
 // (any monotonic nanosecond count — tests drive it with virtual time,
 // which keeps chaos runs deterministic). The decorator covers all nodes
 // sharing the inner channel, one protocol instance per sending node, so
-// sequence spaces are per sender exactly as in the engine path.
+// sequence spaces are per sender exactly as on the sim fabric.
 //
 // Acks travel as control frames: a payload tagged kAckTag whose 8 bytes
 // are the acked seq (little-endian), flushed eagerly so ack latency does

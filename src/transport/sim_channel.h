@@ -1,39 +1,64 @@
 // SimChannel: the modeled transport — sim::Network + fm::FmLayer behind
-// the Channel interface.
+// the Channel interface — and the simulator's exactly-once fabric.
 //
 // Forwards each message eagerly to the FM layer (the simulator models
 // train aggregation in *time*, not in buffering: the engine's aggregation
 // decides what shares a message, and the LogGP network charges the wire).
-// Byte-identical to the pre-transport tree by construction: the one send
-// path calls the same fm::FmLayer::send in the same order with the same
-// arguments, so modeled costs, event order, and goldens are unchanged.
+// On a fault-free network the one send path calls the same
+// fm::FmLayer::send in the same order with the same arguments, and sends
+// no sequence number, ack or timer, so modeled costs, event order, and
+// goldens are unchanged.
+//
+// Under a FaultPlan the network drops, duplicates, reorders and delays
+// messages, and the channel recovers them itself, as Illinois Fast
+// Messages does for the paper's runtime: whatever registers a handler only
+// ever sees exactly-once delivery. It drives one transport::Reliable per
+// node:
+//   * send: stamps the sender's next sequence number on the Packet, tracks
+//     the message and arms its retransmit deadline on the simulator's own
+//     event queue;
+//   * arrival: before the registered handler runs, acks the copy (a
+//     header-only message back to the sender; every copy, since the ack of
+//     an earlier one may itself be lost) and drops it if its (src, seq)
+//     was delivered already;
+//   * deadline: if the message is still unacked, a task on the sender
+//     re-sends it under the same seq and re-arms with the backed-off
+//     interval.
+// Acks and retransmits are modeled messages like any other: they pay FM
+// overheads, occupy the wire and can themselves be lost.
 #pragma once
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "fm/fm.h"
-#include "support/assert.h"
 #include "transport/channel.h"
+#include "transport/reliable.h"
 
 namespace dpa::transport {
 
 class SimChannel final : public Channel {
  public:
-  explicit SimChannel(fm::FmLayer& fm) : fm_(fm) {}
+  // An ack's modeled wire size: one bare message header.
+  static constexpr std::uint32_t kAckBytes = 32;
+
+  // Recovers faults iff the network was built with a FaultPlan.
+  explicit SimChannel(fm::FmLayer& fm);
 
   const char* name() const override { return "sim"; }
   ChannelCaps caps() const override {
-    // A fault injector on the modeled network makes the fabric lossy and
-    // reordering — exactly what engages the runtime's reliability layer.
-    const bool faulted = fm_.machine().network().injector() != nullptr;
-    return ChannelCaps{/*lossless=*/!faulted, /*fifo=*/!faulted,
+    // Exactly-once either way; only a faulted network reorders.
+    return ChannelCaps{/*lossless=*/true, /*fifo=*/!recovering(),
                        /*framed=*/false, /*buffered=*/false};
   }
 
+  // Registers `fn` with the FM layer, behind the ack/dedup filter when the
+  // channel recovers faults.
+  exec::HandlerId register_handler(std::string name, exec::Handler fn);
+
   void send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                  TrainItem item) override {
-    DPA_DCHECK(cpu != nullptr) << "the modeled network charges the sender";
-    fm_.send(*cpu, src, dst, item.packet.handler, std::move(item.packet.data),
-             item.packet.bytes);
-  }
+                  TrainItem item) override;
 
   bool flush(exec::Cpu* cpu, NodeId src) override {
     (void)cpu;
@@ -41,8 +66,26 @@ class SimChannel final : public Channel {
     return false;  // FM hands messages to the modeled network eagerly
   }
 
+  // Starts a phase: fresh sequence spaces and zeroed counters. The
+  // previous phase ran to quiescence, so no message or timer is in flight.
+  void reset();
+
+  bool recovering() const { return !rel_.empty(); }
+  // Recovery counters for the current phase (all zero fault-free; the
+  // frame counters stay zero on the modeled network).
+  const exec::WireStatsTotal& stats() const { return stats_; }
+
  private:
+  // Receiver side of a sequenced arrival: acks it and reports whether it
+  // is the first copy.
+  bool accept(exec::Cpu& cpu, const exec::Packet& pkt);
+  void arm(NodeId src, std::uint64_t seq, Time at);
+  void retry(exec::Cpu& cpu, NodeId src, std::uint64_t seq);
+
   fm::FmLayer& fm_;
+  std::vector<Reliable> rel_;  // one per node; empty when fault-free
+  exec::HandlerId h_ack_ = 0;  // an ack's Packet::seq names the acked message
+  exec::WireStatsTotal stats_;
 };
 
 }  // namespace dpa::transport

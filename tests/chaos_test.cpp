@@ -1,11 +1,12 @@
 // Chaos suite: end-to-end runs of barnes / fmm / em3d on a faulty fabric.
 //
-// The contract under test (see sim/fault.h and runtime/engine.h): with the
-// deterministic in-order schedule, a run under any fault plan produces
-// *bit-identical* physics to the fault-free run — drops, duplicates,
-// reordering and pauses cost simulated time, never correctness. Each app is
+// The contract under test (see sim/fault.h and transport/sim_channel.h):
+// the sim fabric recovers its own faults, and with the deterministic
+// in-order schedule a run under any fault plan produces *bit-identical*
+// physics to the fault-free run — drops, duplicates, reordering and pauses
+// cost simulated time, never correctness. Each app is
 // run under several fault seeds and compared against its own fault-free
-// baseline; we also check the recovery machinery actually engaged (drops
+// baseline; we also check the fabric's recovery actually engaged (drops
 // observed, retries >= drops, acks flowing, duplicates deduplicated).
 #include <gtest/gtest.h>
 
@@ -50,7 +51,8 @@ sim::NetParams faulty_net(std::uint64_t seed) {
   return p;
 }
 
-// Sums fault + reliability counters across a run's phases.
+// Sums the network's fault counters and the fabric's recovery counters
+// across a run's phases.
 struct ChaosTotals {
   sim::FaultStats faults;
   std::uint64_t retries = 0;
@@ -66,10 +68,10 @@ struct ChaosTotals {
       t.faults.dup_msgs += step.phase.faults.dup_msgs;
       t.faults.delayed_frags += step.phase.faults.delayed_frags;
       t.faults.pauses += step.phase.faults.pauses;
-      t.retries += step.phase.rt.retries;
-      t.acks_sent += step.phase.rt.acks_sent;
-      t.acks_recv += step.phase.rt.acks_recv;
-      t.dup_msgs_dropped += step.phase.rt.dup_msgs_dropped;
+      t.retries += step.phase.wire.retries;
+      t.acks_sent += step.phase.wire.acks_sent;
+      t.acks_recv += step.phase.wire.acks_recv;
+      t.dup_msgs_dropped += step.phase.wire.dup_msgs_dropped;
     }
     return t;
   }
@@ -235,7 +237,7 @@ TEST(Chaos, SameFaultSeedReplaysBitIdentically) {
     EXPECT_EQ(a.steps[i].phase.elapsed, b.steps[i].phase.elapsed);
     EXPECT_EQ(a.steps[i].phase.faults.dropped_msgs,
               b.steps[i].phase.faults.dropped_msgs);
-    EXPECT_EQ(a.steps[i].phase.rt.retries, b.steps[i].phase.rt.retries);
+    EXPECT_EQ(a.steps[i].phase.wire.retries, b.steps[i].phase.wire.retries);
   }
   // Different seed => (almost surely) a different fault schedule.
   const auto c = app.run(faulty_net(8), rcfg);
