@@ -2,10 +2,11 @@
 // traversal in the mini-IR, run the thread-partitioning pass (split at
 // foreign dereferences, hoist accesses, label creation sites with
 // pointers), print the resulting thread program, and execute it on the DPA
-// runtime against a distributed object graph.
+// runtime against a distributed object graph on each backend.
 //
 //   ./compiled_traversal --procs=8 --len=200
 #include <cstdio>
+#include <utility>
 
 #include "compiler/interp.h"
 #include "compiler/parser.h"
@@ -42,6 +43,28 @@ fn visit(n : Node) {
 
 Module make_module() { return parse_module(kSource); }
 
+// Builds the distributed graph: a list scattered round-robin, peers random.
+// The fixed seed gives every cluster the same graph.
+std::vector<gas::GPtr<Record>> build_list(rt::Cluster& cluster,
+                                          const Module& module,
+                                          std::int64_t len) {
+  Rng rng(31);
+  std::vector<gas::GPtr<Record>> nodes;
+  for (std::int64_t i = 0; i < len; ++i) {
+    Record r = make_record(module, "Node");
+    r.scalars[0] = rng.uniform(0, 1);  // val
+    r.scalars[1] = rng.uniform(0, 2);  // weight
+    nodes.push_back(cluster.heap.make<Record>(
+        sim::NodeId(std::uint32_t(i) % cluster.num_nodes()), std::move(r)));
+  }
+  for (std::int64_t i = 0; i < len; ++i) {
+    auto* mut = gas::GlobalHeap::mutate(nodes[std::size_t(i)]);
+    if (i + 1 < len) mut->ptrs[0] = nodes[std::size_t(i + 1)];
+    mut->ptrs[1] = nodes[rng.next_below(std::uint64_t(len))];
+  }
+  return nodes;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -59,47 +82,42 @@ int main(int argc, char** argv) {
               "template(s) ===\n\n%s\n",
               program.templates.size(), program.dump().c_str());
 
-  // Build the distributed graph: a list scattered round-robin, peers random.
-  rt::Cluster cluster(std::uint32_t(procs), sim::NetParams{});
-  Rng rng(31);
-  std::vector<gas::GPtr<Record>> nodes;
-  for (std::int64_t i = 0; i < len; ++i) {
-    Record r = make_record(module, "Node");
-    r.scalars[0] = rng.uniform(0, 1);  // val
-    r.scalars[1] = rng.uniform(0, 2);  // weight
-    nodes.push_back(cluster.heap.make<Record>(
-        sim::NodeId(std::uint32_t(i) % cluster.num_nodes()), std::move(r)));
-  }
-  for (std::int64_t i = 0; i < len; ++i) {
-    auto* mut = gas::GlobalHeap::mutate(nodes[std::size_t(i)]);
-    if (i + 1 < len) mut->ptrs[0] = nodes[std::size_t(i + 1)];
-    mut->ptrs[1] = nodes[rng.next_below(std::uint64_t(len))];
-  }
+  // The same compiled program on every backend: the simulator, the
+  // threaded native pool and worker processes. Each must reproduce the
+  // direct interpretation on the host (the oracle).
+  int status = 0;
+  const std::pair<exec::BackendKind, const char*> backends[] = {
+      {exec::BackendKind::kSim, "sim"},
+      {exec::BackendKind::kNative, "native"},
+      {exec::BackendKind::kProc, "proc"}};
+  for (const auto& [kind, name] : backends) {
+    rt::Cluster cluster(std::uint32_t(procs), kind);
+    const auto nodes = build_list(cluster, module, len);
+    Accums direct;
+    interp_direct(module, "visit", nodes[0].addr, direct);
 
-  // Oracle: direct recursive interpretation on the host.
-  Accums direct;
-  interp_direct(module, "visit", nodes[0].addr, direct);
-
-  // Compiled execution on the DPA runtime.
-  ProgramRunner runner(module, program);
-  Accums compiled;
-  std::vector<std::vector<gas::GPtr<Record>>> roots(cluster.num_nodes());
-  roots[0].push_back(nodes[0]);
-  const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(32),
-                                 "visit", std::move(roots), &compiled);
-  if (!result.completed) {
-    std::fprintf(stderr, "deadlock:\n%s", result.diagnostics.c_str());
-    return 1;
+    ProgramRunner runner(module, program);
+    std::vector<std::vector<gas::GPtr<Record>>> roots(cluster.num_nodes());
+    roots[0].push_back(nodes[0]);
+    const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(32),
+                                   "visit", std::move(roots));
+    if (!result.phase.completed) {
+      std::fprintf(stderr, "%s: deadlock:\n%s", name,
+                   result.phase.diagnostics.c_str());
+      return 1;
+    }
+    const double total = result.accums.at("total");
+    std::printf("[%s] direct interpretation: total = %.6f\n", name,
+                direct["total"]);
+    std::printf("[%s] compiled on runtime:   total = %.6f\n", name, total);
+    std::printf("[%s] phase time %.3f ms, %llu threads, %llu fetches in %llu "
+                "messages (agg %.1fx)\n",
+                name, result.phase.seconds() * 1e3,
+                (unsigned long long)result.phase.rt.threads_run,
+                (unsigned long long)result.phase.rt.refs_requested,
+                (unsigned long long)result.phase.rt.request_msgs,
+                result.phase.rt.aggregation_factor());
+    if (total != direct["total"]) status = 1;
   }
-
-  std::printf("direct interpretation: total = %.6f\n", direct["total"]);
-  std::printf("compiled on runtime:   total = %.6f\n", compiled["total"]);
-  std::printf("simulated time %.3f ms, %llu threads, %llu fetches in %llu "
-              "messages (agg %.1fx)\n",
-              result.seconds() * 1e3,
-              (unsigned long long)result.rt.threads_run,
-              (unsigned long long)result.rt.refs_requested,
-              (unsigned long long)result.rt.request_msgs,
-              result.rt.aggregation_factor());
-  return direct["total"] == compiled["total"] ? 0 : 1;
+  return status;
 }

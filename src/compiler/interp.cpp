@@ -1,5 +1,6 @@
 #include "compiler/interp.h"
 
+#include <deque>
 #include <memory>
 #include <utility>
 
@@ -126,9 +127,8 @@ struct Captured {
 };
 
 struct RunState {
-  const Module* module;
   const ThreadProgram* program;
-  Accums* accums;
+  std::deque<rt::NodeLocal<double>>* accums;  // indexed by accumulator id
 };
 
 void run_template(rt::Ctx& ctx, const RunState* st, int tmpl_id,
@@ -170,7 +170,8 @@ void run_ops(rt::Ctx& ctx, const RunState* st, const std::vector<TOpPtr>& ops,
         env[op->dst] = op->expr->eval(env);
         break;
       case TOp::K::kAccum:
-        (*st->accums)[op->dst] += op->expr->eval(env);
+        (*st->accums)[std::size_t(op->accum)].slot(ctx) +=
+            op->expr->eval(env);
         break;
       case TOp::K::kCharge:
         ctx.charge(sim::Time(op->expr->eval(env)));
@@ -219,17 +220,16 @@ ProgramRunner::ProgramRunner(const Module& module,
                              const ThreadProgram& program)
     : module_(module), program_(program) {}
 
-rt::PhaseResult ProgramRunner::run(
+ProgramRunner::Result ProgramRunner::run(
     rt::Cluster& cluster, const rt::RuntimeConfig& rcfg,
     const std::string& fn,
-    std::vector<std::vector<gas::GPtr<Record>>> roots, Accums* accums) {
-  DPA_CHECK(accums != nullptr);
+    std::vector<std::vector<gas::GPtr<Record>>> roots) {
   DPA_CHECK(roots.size() == cluster.num_nodes());
 
-  RunState st;
-  st.module = &module_;
-  st.program = &program_;
-  st.accums = accums;
+  std::deque<rt::NodeLocal<double>> accums;
+  for (std::size_t i = 0; i < program_.accums.size(); ++i)
+    accums.emplace_back(cluster);
+  const RunState st{&program_, &accums};
   const int entry = program_.entry_of(fn);
   const auto empty_env = std::make_shared<const Captured>();
 
@@ -248,7 +248,10 @@ rt::PhaseResult ProgramRunner::run(
       });
     };
   }
-  return runner.run(std::move(work));
+  Result out{runner.run(std::move(work)), {}};
+  for (std::size_t i = 0; i < accums.size(); ++i)
+    out.accums[program_.accums[i]] = accums[i].reduce();
+  return out;
 }
 
 }  // namespace dpa::compiler

@@ -9,6 +9,9 @@
 //
 // Accumulators are commutative reduction cells (the only cross-thread
 // state), so result equality is exact up to floating-point reassociation.
+// The runner keeps them in per-node slots (rt::NodeLocal), which reach the
+// caller on every backend — including worker processes — and reduce in
+// node order.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +47,16 @@ class ProgramRunner {
  public:
   ProgramRunner(const Module& module, const ThreadProgram& program);
 
+  struct Result {
+    rt::PhaseResult phase;
+    Accums accums;  // every accumulator the program names
+  };
+
   // Runs one phase: roots[n] are node n's conc-loop roots, each spawning
-  // `fn`'s entry template. Accumulators land in *accums.
-  rt::PhaseResult run(rt::Cluster& cluster, const rt::RuntimeConfig& rcfg,
-                      const std::string& fn,
-                      std::vector<std::vector<gas::GPtr<Record>>> roots,
-                      Accums* accums);
+  // `fn`'s entry template.
+  Result run(rt::Cluster& cluster, const rt::RuntimeConfig& rcfg,
+             const std::string& fn,
+             std::vector<std::vector<gas::GPtr<Record>>> roots);
 
  private:
   const Module& module_;

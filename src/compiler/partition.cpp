@@ -80,6 +80,15 @@ ThreadTemplate& tmpl_of(FnBuilder& fb, const TemplateCtx& ctx) {
   return fb.program->templates[std::size_t(ctx.tmpl_id)];
 }
 
+// The id of accumulator `name`, assigned on first use.
+int accum_id(ThreadProgram& program, const std::string& name) {
+  auto& names = program.accums;
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it != names.end()) return int(it - names.begin());
+  names.push_back(name);
+  return int(names.size() - 1);
+}
+
 void compile_stmts(FnBuilder& fb, TemplateCtx ctx,
                    std::vector<StmtPtr> stmts);
 
@@ -100,6 +109,7 @@ void compile_into(FnBuilder& fb, TemplateCtx& ctx, const Stmt& s,
     case Stmt::K::kAccum:
       op->kind = TOp::K::kAccum;
       op->dst = s.dst;
+      op->accum = accum_id(*fb.program, s.dst);
       op->expr = s.expr;
       ops.push_back(std::move(op));
       return;

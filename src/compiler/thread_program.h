@@ -31,6 +31,7 @@ struct TOp {
 
   K kind = K::kLet;
   std::string dst;
+  int accum = -1;  // kAccum: the accumulator id (ThreadProgram::accums)
   ExprPtr expr;
   std::vector<TOpPtr> then_body;
   std::vector<TOpPtr> else_body;
@@ -63,6 +64,9 @@ struct ThreadTemplate {
 struct ThreadProgram {
   std::vector<ThreadTemplate> templates;
   std::map<std::string, int> fn_entry;  // function name -> entry template
+  // Accumulator names, indexed by id: partitioning resolves every kAccum's
+  // name to its id, so a runner keeps one reduction cell per id.
+  std::vector<std::string> accums;
 
   const ThreadTemplate& at(int id) const { return templates[std::size_t(id)]; }
   int entry_of(const std::string& fn) const;

@@ -90,12 +90,11 @@ struct PhaseSpan {
   std::uint64_t bytes = 0;
 };
 
-// How a handler payload crosses a process boundary: marshal flattens the
-// in-memory payload to bytes, unmarshal rebuilds it on the other side.
-// Single-process backends never invoke these.
+// How a handler payload crosses a process boundary: marshal appends the
+// in-memory payload's bytes to `out`, unmarshal rebuilds it on the other
+// side. Single-process backends never invoke these.
 struct WireCodec {
-  std::function<std::vector<std::uint8_t>(const void* data,
-                                          std::uint32_t bytes)>
+  std::function<void(const void* data, std::vector<std::uint8_t>& out)>
       marshal;
   std::function<std::shared_ptr<void>(const std::uint8_t* bytes,
                                       std::size_t len)>

@@ -80,7 +80,6 @@ NativeBackend::NativeBackend(std::uint32_t num_nodes)
 
 NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
     : tuning_(tuning),
-      trains_(num_nodes, tuning.train_max, *this),
       finish_barrier_(resolve_workers(tuning, num_nodes)) {
   DPA_CHECK(num_nodes > 0);
   DPA_CHECK(tuning_.train_max > 0);
@@ -88,6 +87,7 @@ NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
   nodes_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>());
+    nodes_.back()->trains.to.resize(num_nodes);
     // Initial placement: round-robin. Re-activation follows last_worker
     // from then on, so steady-state placement is steal-driven.
     nodes_.back()->affinity.store(i % num_workers, std::memory_order_relaxed);
@@ -268,11 +268,16 @@ std::int32_t NativeBackend::try_steal(std::uint32_t w) {
   return -1;
 }
 
-void NativeBackend::deliver_train(NodeId src, NodeId dst,
-                                  std::vector<Task>& batch) {
+void NativeBackend::flush_train(NodeId src, NodeId dst) {
+  Node& sn = *nodes_[src];
+  std::vector<Task>& batch = sn.trains.to[dst];
+  if (batch.empty()) return;
+  DPA_DCHECK(sn.trains.pending >= batch.size());
+  sn.trains.pending -= std::uint32_t(batch.size());
+  ++sn.msg.trains_sent;
   Node& dn = *nodes_[dst];
-  // Trains are flushed only by the node's hosting worker (the channel's
-  // depth-trigger on buffer() or flush_src), so tls_worker names the shard.
+  // Trains are flushed only by the node's hosting worker (the depth
+  // trigger in post() or flush_trains), so tls_worker names the shard.
   obs::TraceShard* const sh =
       tls_worker >= 0 ? worker_shard(std::uint32_t(tls_worker)) : nullptr;
   const std::uint64_t depth = batch.size();
@@ -304,6 +309,14 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst,
     sh->profile.train_occupancy.add(depth);
     sh->profile.queue_depth.add(inbox_depth);
   }
+  batch.clear();
+}
+
+void NativeBackend::flush_trains(NodeId src) {
+  Trains& out = nodes_[src]->trains;
+  if (out.pending == 0) return;
+  for (NodeId d = 0; d < num_nodes(); ++d) flush_train(src, d);
+  DPA_DCHECK(out.pending == 0);
 }
 
 void NativeBackend::post(NodeId node, Task task) {
@@ -322,8 +335,10 @@ void NativeBackend::post(NodeId node, Task task) {
       self.local.push_back(std::move(task));
       return;
     }
-    // The channel auto-flushes the destination train at train_max depth.
-    trains_.buffer(NodeId(tls_node), node, std::move(task));
+    std::vector<Task>& train = self.trains.to[node];
+    train.push_back(std::move(task));
+    ++self.trains.pending;
+    if (train.size() >= tuning_.train_max) flush_train(NodeId(tls_node), node);
     return;
   }
   // Main thread: pre-phase seeding. Counted on the destination's shard —
@@ -362,22 +377,20 @@ void NativeBackend::flush(Cpu& cpu, NodeId node) {
   DPA_DCHECK(node < nodes_.size());
   DPA_DCHECK(tls_node == std::int32_t(node))
       << "Backend::flush must run on the node it flushes";
-  trains_.flush_src(node);
+  flush_trains(node);
 }
 
 Time NativeBackend::begin_phase() {
   DPA_CHECK(quiescent()) << "begin_phase with tasks still outstanding";
   quiesced_.store(false, std::memory_order_relaxed);
-  for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
-    Node* n = nodes_[i].get();
+  for (auto& n : nodes_) {
     n->stats.reset();
     n->msg.reset();
     DPA_CHECK(n->inbox.empty() && n->local.empty() &&
-              trains_.pending(i) == 0);
+              n->trains.pending == 0);
     DPA_CHECK(n->active.load(std::memory_order_relaxed) == 0)
         << "begin_phase with a node still queued";
   }
-  trains_.reset_stats();
   for (auto& w : workers_) {
     DPA_CHECK(w->runq.empty());
     w->parks.store(0, std::memory_order_relaxed);
@@ -759,7 +772,7 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
     // Dry. Push any buffered outbound trains — the implicit flush point
     // that makes termination independent of the engine calling
     // Backend::flush() — then give up the node.
-    trains_.flush_src(id);
+    flush_trains(id);
     // Deactivate-then-recheck: the idle store and a producer's CAS are both
     // seq_cst, so they are totally ordered. If a producer appended to the
     // inbox after our last drain but CASed before our store, the CAS lost
@@ -812,21 +825,19 @@ void NativeBackend::run_task(Node& n, NodeId id, Task task) {
 
 MsgStats NativeBackend::msg_stats_total() const {
   MsgStats total;
-  for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
-    const Node* n = nodes_[i].get();
+  for (const auto& n : nodes_) {
     total.msgs_sent += n->msg.msgs_sent;
     total.frags_sent += n->msg.frags_sent;
     total.msgs_recv += n->msg.msgs_recv;
     total.bytes_sent += n->msg.bytes_sent;
     total.bytes_recv += n->msg.bytes_recv;
-    total.trains_sent += trains_.trains_sent(i);
+    total.trains_sent += n->msg.trains_sent;
   }
   return total;
 }
 
 void NativeBackend::reset_msg_stats() {
   for (auto& n : nodes_) n->msg.reset();
-  trains_.reset_stats();
 }
 
 SchedStats NativeBackend::sched_stats() const {

@@ -25,20 +25,18 @@
 //     kicking itself never takes a lock, and in steady state neither path
 //     allocates.
 //   * send() appends a delivery task to the sending node's per-destination
-//     *train* — an owner-only outbound buffer, owned since the transport
-//     split by transport::InProcChannel (the backend supplies the delivery
-//     sink: mailbox lock, tracing, destination activation). A train is
-//     handed to the destination mailbox under ONE lock acquisition when it
-//     reaches Tuning::train_max depth, when the engine calls
-//     Backend::flush() at a tile/strip boundary, or — unconditionally —
-//     before the node deactivates. That last rule makes trains invisible
-//     to termination:
-//     buffered messages always depart before their host worker can so much
-//     as look for quiescence. The host fabric thus applies the paper's
-//     aggregation idea to itself: per-message lock overhead is amortized
-//     across a batch, exactly like per-message wire overhead is amortized
-//     by pointer aggregation. In-process delivery stays lossless and
-//     per-(src,dst) FIFO, unordered across sources — like the model.
+//     *train* — an owner-only outbound buffer in the node's own state. A
+//     train is handed to the destination mailbox under ONE lock
+//     acquisition when it reaches Tuning::train_max depth, when the engine
+//     calls Backend::flush() at a tile/strip boundary, or —
+//     unconditionally — before the node deactivates. That last rule makes
+//     trains invisible to termination: buffered messages always depart
+//     before their host worker can so much as look for quiescence. The
+//     host fabric thus applies the paper's aggregation idea to itself:
+//     per-message lock overhead is amortized across a batch, exactly like
+//     per-message wire overhead is amortized by pointer aggregation.
+//     In-process delivery stays lossless and per-(src,dst) FIFO, unordered
+//     across sources — like the model.
 //   * Phase termination is global quiescence over *sharded* counters: each
 //     node owns a (produced, consumed) pair — tasks created on it vs. tasks
 //     finished on it — each written only by the thread currently running
@@ -100,7 +98,6 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "transport/inproc_channel.h"
 
 namespace dpa::obs {
 class TraceShard;
@@ -124,8 +121,7 @@ class SenseBarrier {
   std::atomic<bool> sense_{false};
 };
 
-class NativeBackend final : public Backend,
-                            private transport::InProcChannel::Sink {
+class NativeBackend final : public Backend {
  public:
   // Scheduling/communication/idle policy knobs. Defaults suit both the
   // provisioned case (cores >= nodes) and oversubscription; tests shrink
@@ -235,6 +231,14 @@ class NativeBackend final : public Backend,
   void release_test_stalls();
 
  private:
+  // A node's outbound trains, one per destination. Written only by the
+  // node's host (main-thread posts bypass trains) at message rate, so they
+  // sit on their own cache line, away from the producer-shared mailbox.
+  struct alignas(64) Trains {
+    std::vector<std::vector<Task>> to;  // indexed by destination
+    std::uint32_t pending = 0;          // messages buffered, all trains
+  };
+
   // Padded to a cache line boundary: stats and queues are written at task
   // rate by the hosting worker; neighbors must not false-share.
   struct alignas(64) Node {
@@ -249,9 +253,7 @@ class NativeBackend final : public Backend,
     // self-kicks reuses the first slots instead of growing the vector.
     std::vector<Task> local;
     std::size_t local_head = 0;
-    // Outbound trains live in trains_ (transport::InProcChannel), indexed
-    // by this node's id; written only by this node's host (main-thread
-    // posts bypass trains).
+    Trains trains;
     NodeStats stats;
     MsgStats msg;  // sent-side fields written by host, recv-side by host
     // Activation state: 0 = idle (no queued tasks anywhere... or a producer
@@ -327,11 +329,11 @@ class NativeBackend final : public Backend,
   void watchdog_main();
   void watchdog_fire(const char* reason, Time elapsed, std::uint64_t epoch,
                      std::uint32_t stuck, const std::vector<bool>& node_stuck);
-  // transport::InProcChannel::Sink — the channel calls this with a full
-  // train; we hand it to the destination mailbox (one lock) and activate
-  // the destination.
-  void deliver_train(NodeId src, NodeId dst,
-                     std::vector<Task>& batch) override;
+  // Hands src's train for dst to dst's mailbox (one lock) and activates
+  // dst; the train keeps its capacity for the next batch. Host-only.
+  void flush_train(NodeId src, NodeId dst);
+  // Flushes every non-empty train of src. Host-only.
+  void flush_trains(NodeId src);
   bool quiescent() const;
   void wake_all_workers();
   Time since_phase_start(std::chrono::steady_clock::time_point t) const {
@@ -341,9 +343,6 @@ class NativeBackend final : public Backend,
 
   Tuning tuning_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Per-source outbound train buffers + flush policy (depth train_max).
-  // Declared after tuning_/nodes_ — its ctor reads tuning_.train_max.
-  transport::InProcChannel trains_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<HandlerEntry>> handlers_;
 

@@ -131,11 +131,8 @@ ProcBackend::Config g_default_config;
 
 void send_ctl(transport::PipeChannel& ctl, NodeId src, NodeId dst,
               std::uint16_t tag, std::vector<std::uint8_t> bytes) {
-  transport::TrainItem item;
-  item.tag = tag;
-  item.wire = std::move(bytes);
-  ctl.send_train(nullptr, src, dst, std::move(item));
-  ctl.flush(nullptr, src);
+  ctl.send(src, dst, transport::FramePayload{tag, 0, std::move(bytes)});
+  ctl.flush(src);
 }
 
 }  // namespace
@@ -217,20 +214,17 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   DPA_CHECK(bool(codec.marshal))
       << "handler '" << handlers_[handler]->name
       << "' crosses a process boundary but has no wire codec";
-  std::vector<std::uint8_t> body = codec.marshal(data.get(), bytes);
-  std::vector<std::uint8_t> wire(4 + body.size());
+  std::vector<std::uint8_t> wire(4);
   std::memcpy(wire.data(), &bytes, 4);  // modeled size rides the frame
-  std::memcpy(wire.data() + 4, body.data(), body.size());
+  codec.marshal(data.get(), wire);
 
   PeerLink& link = *links_[owner_of(dst)];
   remote_msgs_sent_.fetch_add(1, std::memory_order_relaxed);
   remote_bytes_sent_.fetch_add(wire.size(), std::memory_order_relaxed);
   link.sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(link.mu);
-  transport::TrainItem item;
-  item.tag = handler;
-  item.wire = std::move(wire);
-  link.rel->send_train(nullptr, src, dst, std::move(item));
+  link.rel->send(src, dst,
+                 transport::FramePayload{handler, 0, std::move(wire)});
 }
 
 void ProcBackend::flush(Cpu& cpu, NodeId node) {
@@ -239,7 +233,7 @@ void ProcBackend::flush(Cpu& cpu, NodeId node) {
   for (auto& link : links_) {
     if (link == nullptr) continue;
     std::lock_guard<std::mutex> lk(link->mu);
-    link->rel->flush(nullptr, node);
+    link->rel->flush(node);
   }
 }
 
@@ -860,7 +854,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
       for (auto& link : links_) {
         if (link == nullptr) continue;
         std::lock_guard<std::mutex> lk(link->mu);
-        for (NodeId n : owned) link->rel->flush(nullptr, n);
+        for (NodeId n : owned) link->rel->flush(n);
       }
     }
     first = false;

@@ -1,12 +1,12 @@
 // SimBackend: the discrete-event simulator behind the Backend interface.
 //
 // Owns the sim::Machine (engine + LogGP network + node processors), the
-// fm::FmLayer (active messages with MTU segmentation) and the
-// transport::SimChannel every send and handler goes through. Fault-free,
-// every call forwards to the same machine/fm entry points in the same
-// order, so simulations are byte-identical to the pre-Backend tree
-// (golden-checked). Under a FaultPlan the channel recovers the network's
-// drops and duplicates, so the runtime always sees an exactly-once fabric.
+// fm::FmLayer (active messages with MTU segmentation) and the SimChannel
+// every send and handler goes through. Fault-free, every call forwards to
+// the same machine/fm entry points in the same order, so simulations are
+// byte-identical to the pre-Backend tree (golden-checked). Under a
+// FaultPlan the channel recovers the network's drops and duplicates, so the
+// runtime always sees an exactly-once fabric.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +15,8 @@
 
 #include "exec/backend.h"
 #include "fm/fm.h"
+#include "exec/sim_channel.h"
 #include "sim/machine.h"
-#include "transport/sim_channel.h"
 
 namespace dpa::exec {
 
@@ -37,13 +37,10 @@ class SimBackend final : public Backend {
 
   void send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
             std::shared_ptr<void> data, std::uint32_t bytes) override {
-    // Route through the transport::Channel view of the FM layer — one
-    // forwarding hop, same fm::FmLayer::send call as the pre-transport
-    // tree, so modeled time and goldens are unchanged. Under a FaultPlan
-    // the channel also sequences the message for recovery.
-    transport::TrainItem item;
-    item.packet = Packet{src, dst, handler, bytes, std::move(data)};
-    channel_.send_train(&cpu, src, dst, std::move(item));
+    // Fault-free, the channel makes the one fm::FmLayer::send call, so
+    // modeled time and goldens are unchanged. Under a FaultPlan it also
+    // sequences the message for recovery.
+    channel_.send(cpu, Packet{src, dst, handler, bytes, std::move(data)});
   }
 
   void post(NodeId node, Task task) override {
@@ -81,12 +78,11 @@ class SimBackend final : public Backend {
 
   sim::Machine* sim_machine() override { return &machine_; }
   fm::FmLayer& fm() { return fm_; }
-  transport::Channel& channel() { return channel_; }
 
  private:
   sim::Machine machine_;
   fm::FmLayer fm_;
-  transport::SimChannel channel_{fm_};  // declared after fm_: wraps it
+  SimChannel channel_{fm_};  // declared after fm_: wraps it
 };
 
 }  // namespace dpa::exec

@@ -50,7 +50,7 @@ class FmLayer {
   // Sends from node `src`, called from inside a task running on `src`.
   // Charges send overhead (Work::kComm) per fragment to `cpu`; the message
   // departs at the sender's logical time. `seq` rides on the Packet for a
-  // recovering fabric above (transport::SimChannel); FM itself ignores it.
+  // recovering fabric above (exec::SimChannel); FM itself ignores it.
   void send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
             std::shared_ptr<void> data, std::uint32_t bytes,
             std::uint64_t seq = 0);
@@ -68,7 +68,7 @@ class FmLayer {
   // `nth` message sent from now on (1 = the very next). Unlike the
   // probabilistic FaultPlan on the network, this drops one specific message,
   // which is what tests of unrecovered loss need: without a FaultPlan the
-  // sim fabric runs no recovery (transport::SimChannel), so the phase must
+  // sim fabric runs no recovery (exec::SimChannel), so the phase must
   // surface as incomplete with diagnostics.
   void drop_nth_message(std::uint64_t nth) { drop_at_ = sends_seen_ + nth; }
   std::uint64_t dropped_messages() const { return dropped_; }

@@ -65,12 +65,10 @@ RefList get_refs(const std::uint8_t*& p, const std::uint8_t* end) {
 
 exec::WireCodec req_codec() {
   return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
+      [](const void* data, std::vector<std::uint8_t>& b) {
         const auto* req = static_cast<const ReqPayload*>(data);
-        std::vector<std::uint8_t> b;
         put(b, req->requester);
         put_refs(b, req->refs);
-        return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
@@ -83,11 +81,8 @@ exec::WireCodec req_codec() {
 
 exec::WireCodec reply_codec() {
   return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
-        const auto* reply = static_cast<const ReplyPayload*>(data);
-        std::vector<std::uint8_t> b;
-        put_refs(b, reply->refs);
-        return b;
+      [](const void* data, std::vector<std::uint8_t>& b) {
+        put_refs(b, static_cast<const ReplyPayload*>(data)->refs);
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
@@ -99,9 +94,8 @@ exec::WireCodec reply_codec() {
 
 exec::WireCodec accum_codec() {
   return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
+      [](const void* data, std::vector<std::uint8_t>& b) {
         const auto* accum = static_cast<const AccumPayload*>(data);
-        std::vector<std::uint8_t> b;
         put(b, accum->accum_seq);
         put(b, std::uint32_t(accum->items.size()));
         for (const auto& [ref, fn] : accum->items) {
@@ -113,7 +107,6 @@ exec::WireCodec accum_codec() {
           put(b, std::uint32_t(fn.raw_size()));
           put_raw(b, fn.raw_bytes(), fn.raw_size());
         }
-        return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;

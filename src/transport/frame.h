@@ -58,6 +58,11 @@ constexpr std::uint32_t kMaxFrameBody = 64u << 20;
 // Frame flags.
 constexpr std::uint16_t kFrameFlagControl = 1u << 0;  // ack/control frames
 
+// Reserved payload tag for ReliableChannel's acks (8 bytes: the acked seq,
+// little-endian); application tags must stay below it. A frame carrying
+// one ack is flagged kFrameFlagControl.
+constexpr std::uint16_t kAckTag = 0xffff;
+
 // One length-prefixed payload in a frame body. `seq` is the reliability
 // layer's per-sender sequence number (0 = unsequenced), carried per payload
 // because a sender's train interleaves sequences bound for many

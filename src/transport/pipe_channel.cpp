@@ -53,16 +53,10 @@ void PipeChannel::set_faults(const ChannelFaults& faults) {
   fault_rng_ = Rng(faults.seed);
 }
 
-void PipeChannel::send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                             TrainItem item) {
-  (void)cpu;  // wall-clock fabric: costs are measured, not charged
+void PipeChannel::send(NodeId src, NodeId dst, FramePayload payload) {
   SrcState& s = srcs_[src];
   auto& tr = s.train[dst];
-  FramePayload p;
-  p.tag = item.tag;
-  p.seq = item.seq;
-  p.bytes = std::move(item.wire);
-  tr.push_back(std::move(p));
+  tr.push_back(std::move(payload));
   ++s.pending;
   if (tr.size() >= train_max_) flush_dest(src, dst);
 }
@@ -76,7 +70,7 @@ void PipeChannel::flush_dest(NodeId src, NodeId dst) {
   ++s.trains;
   std::vector<std::uint8_t> frame;
   const std::uint16_t flags =
-      (mark_control_ || (tr.size() == 1 && tr[0].tag == 0xffff))
+      (mark_control_ || (tr.size() == 1 && tr[0].tag == kAckTag))
           ? kFrameFlagControl
           : 0;
   encode_frame(src, dst, epoch_, flags, tr, &frame);
@@ -84,8 +78,7 @@ void PipeChannel::flush_dest(NodeId src, NodeId dst) {
   transmit(std::move(frame));
 }
 
-bool PipeChannel::flush(exec::Cpu* cpu, NodeId src) {
-  (void)cpu;
+bool PipeChannel::flush(NodeId src) {
   SrcState& s = srcs_[src];
   if (s.pending == 0) return false;
   for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
@@ -142,8 +135,8 @@ std::size_t PipeChannel::pump() {
     // as EPIPE -> kPeerDown, not as a process-killing SIGPIPE.
     while (!tx_.empty()) {
       const auto& f = tx_.front();
-      const ssize_t n = send(fds_[0], f.data() + tx_off_,
-                             f.size() - tx_off_, MSG_NOSIGNAL);
+      const ssize_t n = ::send(fds_[0], f.data() + tx_off_,
+                               f.size() - tx_off_, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EPIPE || errno == ECONNRESET) {

@@ -26,14 +26,29 @@
 // corruption is the fuzz suite's job, directly against decode_frame.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "support/rng.h"
-#include "transport/channel.h"
+#include "transport/frame.h"
 
 namespace dpa::transport {
+
+// Liveness of the peer on the other end of a channel. A byte-stream
+// channel whose counterpart process died (EPIPE/ECONNRESET on write, EOF
+// on read) reports kPeerDown instead of aborting, so a coordinator can
+// detect the loss, name the dead peer, and fail the phase cleanly. Once
+// kPeerDown, a channel stays down: sends are silently discarded and poll()
+// makes no further progress.
+enum class ChannelStatus : std::uint8_t { kOk, kPeerDown };
+
+// Delivery callback: one decoded payload, with the frame header that
+// carried it (routing + epoch).
+using FrameDeliverFn =
+    std::function<void(const FrameHeader&, const FramePayload&)>;
 
 // Whole-frame fault schedule for PipeChannel (the transport-level analog
 // of sim::FaultPlan — same idea, applied to frames instead of fragments).
@@ -46,7 +61,7 @@ struct ChannelFaults {
   bool any() const { return drop > 0 || dup > 0 || reorder > 0; }
 };
 
-class PipeChannel final : public Channel {
+class PipeChannel {
  public:
   struct WireStats {
     std::uint64_t frames_sent = 0;   // frames that reached the wire
@@ -69,7 +84,10 @@ class PipeChannel final : public Channel {
   };
   PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max, Endpoint ep);
 
-  ~PipeChannel() override;
+  ~PipeChannel();
+
+  PipeChannel(const PipeChannel&) = delete;
+  PipeChannel& operator=(const PipeChannel&) = delete;
 
   // Frames carry the phase epoch; the phase driver stamps it.
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
@@ -82,36 +100,28 @@ class PipeChannel final : public Channel {
   // only exactly-once under a ReliableChannel wrapper.
   void set_faults(const ChannelFaults& faults);
 
-  const char* name() const override { return "pipe"; }
-  ChannelCaps caps() const override {
-    return ChannelCaps{/*lossless=*/!(faults_.drop > 0 || faults_.dup > 0),
-                       /*fifo=*/!(faults_.reorder > 0),
-                       /*framed=*/true, /*buffered=*/true};
-  }
+  // Installs the delivery callback (ReliableChannel interposes here).
+  void set_deliver(FrameDeliverFn fn) { deliver_ = std::move(fn); }
 
-  void set_deliver(FrameDeliverFn fn) override { deliver_ = std::move(fn); }
-
-  // Buffers {tag, seq, wire} on src's train for dst (the Packet/Task
-  // representations are ignored — this fabric moves bytes).
-  void send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                  TrainItem item) override;
+  // Buffers one payload on src's train for dst; the train departs as one
+  // frame at train_max depth or at flush().
+  void send(NodeId src, NodeId dst, FramePayload payload);
 
   // Encodes each non-empty train of src as one frame, queues it for the
   // wire, and pumps. True if anything departed.
-  bool flush(exec::Cpu* cpu, NodeId src) override;
+  bool flush(NodeId src);
 
   // Writes backlog / reads / decodes / delivers; returns payloads
   // delivered by this call. Once the peer is down this returns 0 forever
   // (status() says why) instead of aborting — see ChannelStatus.
-  std::size_t poll() override { return pump(); }
+  std::size_t poll() { return pump(); }
 
-  ChannelStatus status() const override {
+  ChannelStatus status() const {
     return peer_down_ ? ChannelStatus::kPeerDown : ChannelStatus::kOk;
   }
 
-  std::uint64_t trains_sent(NodeId src) const override {
-    return srcs_[src].trains;
-  }
+  // Trains src handed to the wire since construction.
+  std::uint64_t trains_sent(NodeId src) const { return srcs_[src].trains; }
 
   // Forces everything queued — including a fault-held frame — onto the
   // wire and drains until no progress. Phase-end barrier for unfaulted

@@ -9,11 +9,11 @@
 // costs, sends bytes/payloads, and arms timers, because those are
 // substrate properties —
 //
-//   * SimChannel drives it on a faulted simulator, arming retransmit
+//   * exec::SimChannel drives it on a faulted simulator, arming retransmit
 //     deadlines on the simulator's event queue, where retransmission
 //     timing is part of the modeled phase and replays deterministically;
-//   * ReliableChannel drives it with an explicit pump(now) over a framed
-//     channel, where retransmission is real I/O.
+//   * ReliableChannel drives it with an explicit pump(now) over a
+//     PipeChannel, where retransmission is real I/O.
 //
 // Same protocol, one implementation, two substrates. Both sit below
 // exec::Backend, so the runtime engines only ever see exactly-once

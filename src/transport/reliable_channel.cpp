@@ -23,32 +23,31 @@ std::uint64_t decode_ack(const std::vector<std::uint8_t>& bytes) {
 
 }  // namespace
 
-ReliableChannel::ReliableChannel(Channel& inner, std::uint32_t num_nodes,
+ReliableChannel::ReliableChannel(PipeChannel& inner,
+                                 std::uint32_t num_nodes,
                                  const RetryPolicy& policy)
     : inner_(inner), rel_(num_nodes) {
-  DPA_CHECK(inner.caps().framed)
-      << "ReliableChannel wraps framed channels; '" << inner.name()
-      << "' is not one";
   for (NodeId n = 0; n < num_nodes; ++n)
     rel_[n].engage(num_nodes, policy, n);
   inner_.set_deliver(
       [this](const FrameHeader& h, const FramePayload& p) { on_frame(h, p); });
 }
 
-void ReliableChannel::send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                                 TrainItem item) {
-  DPA_CHECK(item.tag < kAckTag) << "application tag collides with the ack tag";
+void ReliableChannel::send(NodeId src, NodeId dst, FramePayload payload) {
+  DPA_CHECK(payload.tag < kAckTag)
+      << "application tag collides with the ack tag";
   if (dst != src) {
-    item.seq = rel_[src].next_seq();
+    payload.seq = rel_[src].next_seq();
     Reliable::Pending pending;
     pending.dst = dst;
-    pending.handler = item.tag;
-    pending.wire = item.wire;  // retransmission copy
-    pending.bytes = std::uint32_t(item.wire.size());
-    const Time deadline = rel_[src].track(item.seq, std::move(pending), now_);
-    timers_.push_back(Deadline{src, item.seq, deadline});
+    pending.handler = payload.tag;
+    pending.wire = payload.bytes;  // retransmission copy
+    pending.bytes = std::uint32_t(payload.bytes.size());
+    const Time deadline =
+        rel_[src].track(payload.seq, std::move(pending), now_);
+    timers_.push_back(Deadline{src, payload.seq, deadline});
   }
-  inner_.send_train(cpu, src, dst, std::move(item));
+  inner_.send(src, dst, std::move(payload));
 }
 
 std::size_t ReliableChannel::pump(Time now) {
@@ -71,14 +70,9 @@ std::size_t ReliableChannel::pump(Time now) {
       continue;
     }
     ++stats_.retries;
-    TrainItem item;
-    item.tag = p->handler;
-    item.seq = t.seq;
-    item.wire = p->wire;
-    const NodeId dst = p->dst;
     const Time timeout = p->timeout;  // post-backoff interval
-    inner_.send_train(nullptr, t.src, dst, std::move(item));
-    inner_.flush(nullptr, t.src);
+    inner_.send(t.src, p->dst, FramePayload{p->handler, t.seq, p->wire});
+    inner_.flush(t.src);
     flushed_any = true;
     ++resent;
     next.push_back(Deadline{t.src, t.seq, now_ + timeout});
@@ -97,11 +91,8 @@ void ReliableChannel::on_frame(const FrameHeader& h, const FramePayload& p) {
     // Ack every copy, duplicates included: the ack for an earlier copy may
     // itself have been lost, and acks are idempotent at the sender.
     ++stats_.acks_sent;
-    TrainItem ack;
-    ack.tag = kAckTag;
-    ack.wire = encode_ack(p.seq);
-    inner_.send_train(nullptr, h.dst, h.src, std::move(ack));
-    inner_.flush(nullptr, h.dst);
+    inner_.send(h.dst, h.src, FramePayload{kAckTag, 0, encode_ack(p.seq)});
+    inner_.flush(h.dst);
     if (!rel_[h.dst].accept(h.src, p.seq)) {
       ++stats_.dup_msgs_dropped;
       return;

@@ -1,9 +1,9 @@
-// ReliableChannel: exactly-once delivery over any framed, possibly lossy
-// Channel — the transport::Reliable protocol core wired up as a decorator.
+// ReliableChannel: exactly-once delivery over a possibly lossy PipeChannel
+// — the transport::Reliable protocol core wired up as a decorator.
 //
-// The same state machine SimChannel drives through the simulator's event
-// queue (seq/ack/backoff-retransmit, receiver dedup) runs here against a
-// real wire: the decorator stamps each outgoing payload with a
+// The same state machine exec::SimChannel drives through the simulator's
+// event queue (seq/ack/backoff-retransmit, receiver dedup) runs here
+// against a real wire: the decorator stamps each outgoing payload with a
 // per-sender sequence number, tracks it until the matching ack frame comes
 // back, and retransmits past-deadline messages when the caller pumps the
 // clock forward. Receivers ack every sequenced copy (duplicates included —
@@ -24,16 +24,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "transport/channel.h"
+#include "transport/pipe_channel.h"
 #include "transport/reliable.h"
 
 namespace dpa::transport {
 
-// Reserved payload tag for ack control messages; application tags must
-// stay below it.
-constexpr std::uint16_t kAckTag = 0xffff;
-
-class ReliableChannel final : public Channel {
+class ReliableChannel {
  public:
   struct Stats {
     std::uint64_t retries = 0;
@@ -43,41 +39,30 @@ class ReliableChannel final : public Channel {
     std::uint64_t gave_up = 0;  // messages abandoned after max_retries
   };
 
-  // `inner` must be framed (DPA_CHECKed); the decorator installs itself as
-  // the inner delivery callback. `now` starts at 0; pump() advances it.
-  ReliableChannel(Channel& inner, std::uint32_t num_nodes,
+  // The decorator installs itself as the inner delivery callback. `now`
+  // starts at 0; pump() advances it.
+  ReliableChannel(PipeChannel& inner, std::uint32_t num_nodes,
                   const RetryPolicy& policy);
 
-  const char* name() const override { return "reliable"; }
-  ChannelCaps caps() const override {
-    ChannelCaps c = inner_.caps();
-    c.lossless = true;  // that is the whole point
-    return c;
-  }
+  ReliableChannel(const ReliableChannel&) = delete;
+  ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   // The application's sink (sequenced duplicates and ack frames are
   // filtered out before it).
-  void set_deliver(FrameDeliverFn fn) override { deliver_ = std::move(fn); }
+  void set_deliver(FrameDeliverFn fn) { deliver_ = std::move(fn); }
 
-  // Stamps a sequence number (cross-node sends only) and tracks the wire
-  // bytes for retransmission before forwarding.
-  void send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                  TrainItem item) override;
+  // Stamps a sequence number (cross-node sends only) and tracks the bytes
+  // for retransmission before forwarding.
+  void send(NodeId src, NodeId dst, FramePayload payload);
 
-  bool flush(exec::Cpu* cpu, NodeId src) override {
-    return inner_.flush(cpu, src);
-  }
-  std::size_t poll() override { return inner_.poll(); }
-  ChannelStatus status() const override { return inner_.status(); }
+  bool flush(NodeId src) { return inner_.flush(src); }
+  std::size_t poll() { return inner_.poll(); }
 
   // Installs one give-up handler across every sending node's protocol
   // instance (the callbacks run with the pending entry already erased).
   // Unset, a message that exhausts max_retries aborts the process.
   void set_on_peer_dead(Reliable::PeerDeadFn fn) {
     for (Reliable& r : rel_) r.set_on_peer_dead(fn);
-  }
-  std::uint64_t trains_sent(NodeId src) const override {
-    return inner_.trains_sent(src);
   }
 
   // Advances the protocol clock to `now` and retransmits every in-flight
@@ -100,7 +85,7 @@ class ReliableChannel final : public Channel {
 
   void on_frame(const FrameHeader& h, const FramePayload& p);
 
-  Channel& inner_;
+  PipeChannel& inner_;
   FrameDeliverFn deliver_;
   std::vector<Reliable> rel_;  // one protocol instance per sending node
   std::vector<Deadline> timers_;

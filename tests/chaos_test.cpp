@@ -1,6 +1,6 @@
 // Chaos suite: end-to-end runs of barnes / fmm / em3d on a faulty fabric.
 //
-// The contract under test (see sim/fault.h and transport/sim_channel.h):
+// The contract under test (see sim/fault.h and exec/sim_channel.h):
 // the sim fabric recovers its own faults, and with the deterministic
 // in-order schedule a run under any fault plan produces *bit-identical*
 // physics to the fault-free run — drops, duplicates, reordering and pauses

@@ -272,14 +272,12 @@ TEST(Execution, CompiledListWalkMatchesDirect) {
   EXPECT_DOUBLE_EQ(direct["sum"], expected);
 
   ProgramRunner runner(m, p);
-  Accums compiled;
   std::vector<std::vector<gas::GPtr<Record>>> roots(4);
   roots[0].push_back(head);
   const auto result =
-      runner.run(cluster, rt::RuntimeConfig::dpa(8), "walk",
-                 std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed) << result.diagnostics;
-  EXPECT_DOUBLE_EQ(compiled["sum"], expected);
+      runner.run(cluster, rt::RuntimeConfig::dpa(8), "walk", std::move(roots));
+  ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  EXPECT_DOUBLE_EQ(result.accums.at("sum"), expected);
 }
 
 TEST(Execution, CompiledSplitProgramMatchesDirect) {
@@ -289,16 +287,16 @@ TEST(Execution, CompiledSplitProgramMatchesDirect) {
   double unused = 0;
   const auto head = build_list(cluster, m, 2, &unused);
 
-  Accums direct, compiled;
+  Accums direct;
   interp_direct(m, "f", head.addr, direct);
 
   ProgramRunner runner(m, p);
   std::vector<std::vector<gas::GPtr<Record>>> roots(2);
   roots[0].push_back(head);
   const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(8), "f",
-                                 std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed) << result.diagnostics;
-  EXPECT_DOUBLE_EQ(compiled["sum"], direct["sum"]);
+                                 std::move(roots));
+  ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  EXPECT_DOUBLE_EQ(result.accums.at("sum"), direct["sum"]);
   EXPECT_NE(direct["sum"], 0.0);
 }
 
@@ -329,16 +327,17 @@ TEST(Execution, CompiledTreeWalkMatchesDirectAcrossEngines) {
     Rng rng(99);
     const auto root = build_tree(cluster, m, rng, 7);
 
-    Accums direct, compiled;
+    Accums direct;
     interp_direct(m, "walk", root.addr, direct);
 
     ProgramRunner runner(m, p);
     std::vector<std::vector<gas::GPtr<Record>>> roots(4);
     roots[0].push_back(root);
     const auto result =
-        runner.run(cluster, rcfg, "walk", std::move(roots), &compiled);
-    ASSERT_TRUE(result.completed) << result.diagnostics;
-    EXPECT_NEAR(compiled["sum"], direct["sum"], 1e-9) << rcfg.describe();
+        runner.run(cluster, rcfg, "walk", std::move(roots));
+    ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+    EXPECT_NEAR(result.accums.at("sum"), direct["sum"], 1e-9)
+        << rcfg.describe();
   }
 }
 
@@ -363,7 +362,7 @@ TEST(Execution, Em3dKernelMatchesDirectAndAggregates) {
       mut->ptrs[std::size_t(d)] = all[rng.next_below(all.size())];
   }
 
-  Accums direct, compiled;
+  Accums direct;
   for (const auto& rec : all) interp_direct(m, "update", rec.addr, direct);
 
   ProgramRunner runner(m, p);
@@ -371,11 +370,11 @@ TEST(Execution, Em3dKernelMatchesDirectAndAggregates) {
   for (int i = 0; i < per_node * 4; ++i)
     roots[std::size_t(i / per_node)].push_back(all[std::size_t(i)]);
   const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(16),
-                                 "update", std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed) << result.diagnostics;
-  EXPECT_NEAR(compiled["acc"], direct["acc"], 1e-9);
+                                 "update", std::move(roots));
+  ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  EXPECT_NEAR(result.accums.at("acc"), direct["acc"], 1e-9);
   // The runtime aggregated: far fewer request messages than refs.
-  EXPECT_GT(result.rt.aggregation_factor(), 2.0);
+  EXPECT_GT(result.phase.rt.aggregation_factor(), 2.0);
 }
 
 TEST(Execution, ChargesFlowIntoSimulatedTime) {
@@ -385,15 +384,14 @@ TEST(Execution, ChargesFlowIntoSimulatedTime) {
   double unused = 0;
   const auto head = build_list(cluster, m, 100, &unused);
 
-  Accums compiled;
   ProgramRunner runner(m, p);
   std::vector<std::vector<gas::GPtr<Record>>> roots(1);
   roots[0].push_back(head);
   const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(8), "walk",
-                                 std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed);
+                                 std::move(roots));
+  ASSERT_TRUE(result.phase.completed);
   // 100 nodes x charge(100ns) is a lower bound on the phase time.
-  EXPECT_GE(result.elapsed, 100 * 100);
+  EXPECT_GE(result.phase.elapsed, 100 * 100);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // the same snapshots as running it serially in index order.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -22,6 +23,9 @@
 #include "apps/olden/perimeter.h"
 #include "apps/olden/power.h"
 #include "apps/olden/treeadd.h"
+#include "compiler/interp.h"
+#include "compiler/parser.h"
+#include "compiler/partition.h"
 #include "exec/backend.h"
 #include "exec/native_backend.h"
 #include "exec/proc_backend.h"
@@ -30,6 +34,7 @@
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "support/parallel.h"
+#include "support/rng.h"
 
 namespace dpa {
 namespace {
@@ -97,6 +102,8 @@ rt::RuntimeConfig engine_config(std::size_t which) {
 
 constexpr std::size_t kEngines = 4;
 constexpr std::size_t kApps = 6;  // barnes, fmm, em3d, treeadd, power, perim
+// The physics grid adds the compiled list walk and tree walk.
+constexpr std::size_t kPhysicsApps = kApps + 2;
 
 // Packs doubles byte-for-byte: equality of these strings is bit-identity of
 // the physics, not approximate agreement.
@@ -221,6 +228,102 @@ rt::RuntimeConfig equivalence_config(std::size_t which) {
   }
 }
 
+// The compiled programs: IR source partitioned into thread templates and
+// run by compiler::ProgramRunner. The list walk splits at a foreign peer
+// dereference; the tree walk branches and spawns per child.
+constexpr const char* kCompiledListSource = R"(
+class Node { scalar val; ptr next : Node; ptr peer : Node; }
+fn walk(n : Node) {
+  v = n->val;
+  pr = n->peer;
+  nx = n->next;
+  charge 100;
+  pv = pr->val;
+  sum += v * pv;
+  spawn walk(nx);
+}
+)";
+
+constexpr const char* kCompiledTreeSource = R"(
+class Tree { scalar val; scalar leaf; ptr l : Tree; ptr r : Tree; }
+fn walk(t : Tree) {
+  v = t->val;
+  leaf = t->leaf;
+  if (leaf > 0.5) {
+    sum += v;
+    charge 200;
+  } else {
+    sum += 0.5 * v;
+    charge 50;
+    spawn_children walk(t);
+  }
+}
+)";
+
+using RecordPtr = gas::GPtr<compiler::Record>;
+
+RecordPtr place(rt::Cluster& cluster, Rng& rng, compiler::Record r) {
+  return cluster.heap.make<compiler::Record>(
+      sim::NodeId(rng.next_below(cluster.num_nodes())), std::move(r));
+}
+
+RecordPtr build_list(rt::Cluster& cluster, const compiler::Module& m,
+                     Rng& rng, int len) {
+  std::vector<RecordPtr> nodes;
+  for (int i = 0; i < len; ++i) {
+    compiler::Record r = compiler::make_record(m, "Node");
+    r.scalars[0] = rng.uniform(0, 1);
+    nodes.push_back(place(cluster, rng, std::move(r)));
+  }
+  for (int i = 0; i < len; ++i) {
+    auto* mut = gas::GlobalHeap::mutate(nodes[std::size_t(i)]);
+    if (i + 1 < len) mut->ptrs[0] = nodes[std::size_t(i + 1)];
+    mut->ptrs[1] = nodes[rng.next_below(std::uint64_t(len))];
+  }
+  return nodes[0];
+}
+
+RecordPtr build_tree(rt::Cluster& cluster, const compiler::Module& m,
+                     Rng& rng, int depth) {
+  compiler::Record r = compiler::make_record(m, "Tree");
+  r.scalars[0] = rng.uniform(0, 10);
+  r.scalars[1] = depth == 0 ? 1.0 : 0.0;
+  const RecordPtr self = place(cluster, rng, std::move(r));
+  if (depth > 0) {
+    auto* mut = gas::GlobalHeap::mutate(self);
+    mut->ptrs[0] = build_tree(cluster, m, rng, depth - 1);
+    if (rng.chance(0.8)) mut->ptrs[1] = build_tree(cluster, m, rng, depth - 1);
+  }
+  return self;
+}
+
+// One compiled program, one root per node. The reduced accumulator must
+// match direct interpretation on the host (up to reassociation) and is the
+// cell's snapshot.
+std::string compiled_snapshot(bool tree, const rt::RuntimeConfig& rcfg,
+                              exec::BackendKind backend) {
+  const compiler::Module m =
+      compiler::parse_module(tree ? kCompiledTreeSource : kCompiledListSource);
+  const compiler::ThreadProgram program = compiler::partition(m);
+  rt::Cluster cluster(4, backend, net(false));
+  Rng rng(tree ? 7 : 5);
+  std::vector<std::vector<RecordPtr>> roots(cluster.num_nodes());
+  compiler::Accums direct;
+  for (auto& mine : roots) {
+    mine.push_back(tree ? build_tree(cluster, m, rng, 6)
+                        : build_list(cluster, m, rng, 48));
+    compiler::interp_direct(m, "walk", mine[0].addr, direct);
+  }
+  const auto result = compiler::ProgramRunner(m, program)
+                          .run(cluster, rcfg, "walk", std::move(roots));
+  EXPECT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  const double sum = result.accums.at("sum");
+  EXPECT_NEAR(sum, direct["sum"], 1e-9 * std::abs(direct["sum"]));
+  std::string snap;
+  append_doubles(snap, &sum, 1);
+  return snap;
+}
+
 std::string physics_snapshot(std::size_t engine, std::size_t app,
                              exec::BackendKind backend) {
   const auto rcfg = equivalence_config(engine);
@@ -294,7 +397,7 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
       append_doubles(snap, &r.final_root_demand, 1);
       break;
     }
-    default: {
+    case 5: {
       apps::olden::PerimeterConfig cfg;
       cfg.log_size = 5;
       const apps::olden::PerimeterApp app_(cfg, 4);
@@ -305,6 +408,12 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
       append_doubles(snap, &per, 1);
       break;
     }
+    case 6:
+      snap = compiled_snapshot(/*tree=*/false, rcfg, backend);
+      break;
+    default:
+      snap = compiled_snapshot(/*tree=*/true, rcfg, backend);
+      break;
   }
   EXPECT_FALSE(snap.empty());
   return snap;
@@ -312,7 +421,7 @@ std::string physics_snapshot(std::size_t engine, std::size_t app,
 
 TEST(SimVsNative, PhysicsAreByteIdenticalForEveryEngineAndApp) {
   for (std::size_t engine = 0; engine < kEngines; ++engine) {
-    for (std::size_t app = 0; app < kApps; ++app) {
+    for (std::size_t app = 0; app < kPhysicsApps; ++app) {
       const std::string sim =
           physics_snapshot(engine, app, exec::BackendKind::kSim);
       const std::string native =
@@ -416,7 +525,7 @@ TEST(ProcEquivalence, PhysicsAreByteIdenticalAcrossAllThreeBackends) {
   cfg.procs = 2;
   const ScopedProcConfig guard(cfg);
   for (std::size_t engine = 0; engine < kEngines; ++engine) {
-    for (std::size_t app = 0; app < kApps; ++app) {
+    for (std::size_t app = 0; app < kPhysicsApps; ++app) {
       const std::string sim =
           physics_snapshot(engine, app, exec::BackendKind::kSim);
       const std::string native =

@@ -160,16 +160,16 @@ fn visit(n : Node) {
     mut->ptrs[1] = nodes[std::size_t((i * 3) % 10)];
   }
 
-  Accums direct, compiled;
+  Accums direct;
   interp_direct(m, "visit", nodes[0].addr, direct);
 
   ProgramRunner runner(m, program);
   std::vector<std::vector<gas::GPtr<Record>>> roots(2);
   roots[0].push_back(nodes[0]);
   const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(8), "visit",
-                                 std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed) << result.diagnostics;
-  EXPECT_DOUBLE_EQ(compiled["total"], direct["total"]);
+                                 std::move(roots));
+  ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  EXPECT_DOUBLE_EQ(result.accums.at("total"), direct["total"]);
   EXPECT_NE(direct["total"], 0.0);
 }
 
@@ -218,15 +218,15 @@ fn visit(n : Node) {
     if (i + 1 < 8) mut->ptrs[0] = nodes[std::size_t(i + 1)];
     mut->ptrs[1] = nodes[std::size_t((i * 2) % 8)];  // even peers: recurse
   }
-  Accums direct, compiled;
+  Accums direct;
   interp_direct(m, "visit", nodes[0].addr, direct);
   ProgramRunner runner(m, program);
   std::vector<std::vector<gas::GPtr<Record>>> roots(2);
   roots[0].push_back(nodes[0]);
   const auto result = runner.run(cluster, rt::RuntimeConfig::dpa(8), "visit",
-                                 std::move(roots), &compiled);
-  ASSERT_TRUE(result.completed) << result.diagnostics;
-  EXPECT_DOUBLE_EQ(compiled["total"], direct["total"]);
+                                 std::move(roots));
+  ASSERT_TRUE(result.phase.completed) << result.phase.diagnostics;
+  EXPECT_DOUBLE_EQ(result.accums.at("total"), direct["total"]);
   EXPECT_NE(direct["total"], 0.0);
 }
 

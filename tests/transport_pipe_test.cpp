@@ -175,12 +175,9 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   run_phase(g, &staged,
             [&](NodeId src, NodeId dst, std::uint64_t,
                 std::vector<std::uint8_t> w) {
-              TrainItem item;
-              item.tag = kAccumTag;
-              item.wire = std::move(w);
-              pipe.send_train(nullptr, src, dst, std::move(item));
+              pipe.send(src, dst, FramePayload{kAccumTag, 0, std::move(w)});
             });
-  for (NodeId n = 0; n < kNodes; ++n) pipe.flush(nullptr, n);
+  for (NodeId n = 0; n < kNodes; ++n) pipe.flush(n);
   pipe.drain();
 
   EXPECT_EQ(pipe.tx_backlog(), 0u);
@@ -214,12 +211,10 @@ TEST(PipeChannel, ChaosPhaseConvergesBitIdenticalUnderReliable) {
     faults.reorder = 0.10;
     faults.seed = seed;
     pipe.set_faults(faults);
-    EXPECT_FALSE(pipe.caps().lossless);
 
     RetryPolicy policy;
     policy.timeout_ns = 2'000'000;
     ReliableChannel rc(pipe, kNodes, policy);
-    ASSERT_TRUE(rc.caps().lossless);
     std::vector<Staged> staged;
     rc.set_deliver([&](const FrameHeader& h, const FramePayload& p) {
       staged.push_back(unmarshal(h.src, p));
@@ -228,12 +223,9 @@ TEST(PipeChannel, ChaosPhaseConvergesBitIdenticalUnderReliable) {
     run_phase(g, &staged,
               [&](NodeId src, NodeId dst, std::uint64_t,
                   std::vector<std::uint8_t> w) {
-                TrainItem item;
-                item.tag = kAccumTag;
-                item.wire = std::move(w);
-                rc.send_train(nullptr, src, dst, std::move(item));
+                rc.send(src, dst, FramePayload{kAccumTag, 0, std::move(w)});
               });
-    for (NodeId n = 0; n < kNodes; ++n) rc.flush(nullptr, n);
+    for (NodeId n = 0; n < kNodes; ++n) rc.flush(n);
 
     // Drive the protocol on virtual time until every sequenced message is
     // acked. Retransmission — not luck — is what ends this loop.
@@ -278,11 +270,8 @@ TEST(PipeChannel, ControlFramesCarryTheControlFlag) {
     EXPECT_EQ(h.flags & kFrameFlagControl, 0);
     ++data_frames;
   });
-  TrainItem item;
-  item.tag = 1;
-  item.wire = {1, 2, 3};
-  rc.send_train(nullptr, 0, 1, std::move(item));
-  rc.flush(nullptr, 0);
+  rc.send(0, 1, FramePayload{1, 0, {1, 2, 3}});
+  rc.flush(0);
   Time now = 0;
   std::uint32_t rounds = 0;
   while (rc.in_flight() > 0) {
@@ -326,11 +315,8 @@ TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
     FAIL() << "nothing was sent toward side A";
   });
 
-  TrainItem item;
-  item.tag = 7;
-  item.wire = {1, 2, 3, 4};
-  a->send_train(nullptr, 0, 1, std::move(item));
-  a->flush(nullptr, 0);
+  a->send(0, 1, FramePayload{7, 0, {1, 2, 3, 4}});
+  a->flush(0);
   for (int i = 0; i < 100 && got.empty(); ++i) b->poll();
 
   ASSERT_EQ(got.size(), 1u);
@@ -357,11 +343,8 @@ TEST(PipeEndpoint, WriteToDeadPeerIsPeerDownNotSigpipe) {
   // A raw write() here would raise SIGPIPE and kill the process; the
   // channel sends with MSG_NOSIGNAL and maps EPIPE to kPeerDown. Reaching
   // the assertions below IS the no-SIGPIPE proof.
-  TrainItem item;
-  item.tag = 7;
-  item.wire.assign(4096, 0xAB);
-  a->send_train(nullptr, 0, 1, std::move(item));
-  a->flush(nullptr, 0);
+  a->send(0, 1, FramePayload{7, 0, std::vector<std::uint8_t>(4096, 0xAB)});
+  a->flush(0);
   a->poll();
   EXPECT_EQ(a->status(), ChannelStatus::kPeerDown);
 }
@@ -374,12 +357,10 @@ TEST(PipeEndpoint, DrainReturnsInsteadOfSpinningOnADeadPeer) {
   // the "until no progress" loop must bail on peer-down rather than wait
   // forever for the dead side to read.
   for (int i = 0; i < 64; ++i) {
-    TrainItem item;
-    item.tag = 7;
-    item.wire.assign(65536, std::uint8_t(i));
-    a->send_train(nullptr, 0, 1, std::move(item));
+    std::vector<std::uint8_t> bytes(65536, std::uint8_t(i));
+    a->send(0, 1, FramePayload{7, 0, std::move(bytes)});
   }
-  a->flush(nullptr, 0);
+  a->flush(0);
   a->drain();  // must return (the test would hang here on a regression)
   EXPECT_EQ(a->status(), ChannelStatus::kPeerDown);
 }
@@ -401,11 +382,8 @@ TEST(PipeEndpoint, ReliableChannelReportsGaveUpInsteadOfAborting) {
     dead.push_back({dst, sends});
   });
 
-  TrainItem item;
-  item.tag = 7;
-  item.wire = {9, 9, 9};
-  rc.send_train(nullptr, 0, 1, std::move(item));
-  rc.flush(nullptr, 0);
+  rc.send(0, 1, FramePayload{7, 0, {9, 9, 9}});
+  rc.flush(0);
 
   Time now = 0;
   std::uint32_t rounds = 0;
